@@ -1,0 +1,208 @@
+"""Configurations and how they move.
+
+A *configuration* is a (memory set, world) pair.  This module is the one
+place that says how a configuration changes:
+
+  - the closure updates, in their fixed order remember, forget, erase, then
+    ``@i`` for each nominal: remember adds the current world to memory,
+    forget removes it, erase empties the memory, and ``@i`` jumps to the
+    world named i keeping the memory;
+  - the modal step along a relation, plain (memory unchanged) or traced
+    (the current world committed to memory first, as the double modality
+    does);
+  - the modal clauses forth, back, mforth and mback, as data
+    ``(name, side, traced)``: the side whose successor is chosen first and
+    whether the step is traced.
+
+``PairSpace`` applies these to configuration pairs over two models under one
+condition set (see ``equivalence.SimConditions``); the fixpoint, the game
+and ``verify_relation`` all read the static check, the closure images and
+the modal moves from it.  ``EvalContext`` applies the same updates to single
+configurations through ``close``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
+
+from .errors import InvariantViolationError
+from .kripke import KripkeModel
+from .syntax import At, Erase, Forget, Formula, Remember
+
+if TYPE_CHECKING:
+    from .equivalence import SimConditions
+
+
+@dataclass(frozen=True)
+class Config:
+    """One side of a simulation pair: a memory state and a current world."""
+
+    mem: frozenset[str]
+    world: str
+
+    def render(self) -> str:
+        return f"({','.join(sorted(self.mem))}|{self.world})"
+
+
+Pair = tuple[Config, Config]
+
+
+def pair_key(pair: Pair) -> tuple:
+    """The canonical order of configuration pairs."""
+    c1, c2 = pair
+    return (c1.world, tuple(sorted(c1.mem)), c2.world, tuple(sorted(c2.mem)))
+
+
+def initial_pair(left: KripkeModel, w: str, right: KripkeModel, v: str) -> Pair:
+    """Both points, each with its model's own memory."""
+    return (Config(frozenset(left.mem), w), Config(frozenset(right.mem), v))
+
+
+# -- closure updates ----------------------------------------------------------
+
+
+def remember(mem: frozenset[str], world: str) -> frozenset[str]:
+    """The memory with the current world added (rem, and the traced step)."""
+    return mem | {world}
+
+
+MEMORY_UPDATES: dict[str, Callable[[frozenset[str], str], frozenset[str]]] = {
+    "remember": remember,
+    "forget": lambda mem, world: mem - {world},
+    "erase": lambda mem, world: frozenset(),
+}
+
+_CLOSURE_FORMULAS = {"remember": Remember, "forget": Forget, "erase": Erase}
+
+
+def closures(conds: SimConditions, noms) -> tuple[tuple[str, str | None], ...]:
+    """The active closure updates as (kind, nominal), in the fixed order."""
+    table = [(kind, None) for kind in MEMORY_UPDATES if getattr(conds, kind)]
+    if conds.nom:
+        table.extend(("nom", i) for i in noms)
+    return tuple(table)
+
+
+def close(
+    kind: str, nominal: str | None, model: KripkeModel, mem: frozenset[str], world: str
+) -> tuple[frozenset[str], str]:
+    """The (memory, world) a closure update leads to."""
+    if kind == "nom":
+        return mem, model.noms[nominal]
+    return MEMORY_UPDATES[kind](mem, world), world
+
+
+def closure_formula(kind: str, nominal: str | None, sub: Formula) -> Formula:
+    """The operator that performs the closure update before evaluating sub."""
+    if kind == "nom":
+        return At(nominal, sub)
+    return _CLOSURE_FORMULAS[kind](sub)
+
+
+# -- modal clauses ------------------------------------------------------------
+
+# name -> (side whose successor is chosen first, traced step); the order
+# fixes deletion reasons and the order of Spoiler's moves.
+CLAUSES = {
+    "forth": ("left", False),
+    "back": ("right", False),
+    "mforth": ("left", True),
+    "mback": ("right", True),
+}
+
+
+def modal_clauses(conds: SimConditions) -> tuple[tuple[str, str, bool], ...]:
+    """The active modal clauses as (name, side, traced)."""
+    return tuple(
+        (name, side, traced) for name, (side, traced) in CLAUSES.items() if getattr(conds, name)
+    )
+
+
+def step_memory(mem: frozenset[str], world: str, traced: bool) -> frozenset[str]:
+    """The memory after a modal step from (mem, world)."""
+    return remember(mem, world) if traced else mem
+
+
+class PairSpace:
+    """Configuration pairs over two models under one condition set."""
+
+    def __init__(self, conds: SimConditions, left: KripkeModel, right: KripkeModel):
+        self.conds = conds
+        self.left = left
+        self.right = right
+        self.props = sorted(set(left.val) | set(right.val))
+        self.rels = sorted(set(left.rels) | set(right.rels))
+        if conds.nagree or conds.nom:
+            if sorted(left.noms) != sorted(right.noms):
+                raise InvariantViolationError(
+                    "nominal comparison requires both models to assign the same nominals"
+                )
+        self.noms = sorted(set(left.noms) & set(right.noms))
+        self.closures = closures(conds, self.noms)
+        self.clauses = modal_clauses(conds)
+
+    def static_violation(self, pair: Pair) -> tuple | None:
+        """The first atomic disagreement of the pair, or None."""
+        c1, c2 = pair
+        one_way = self.conds.atomic_one_directional
+        if self.conds.agree:
+            for p in self.props:
+                a = c1.world in self.left.val.get(p, frozenset())
+                b = c2.world in self.right.val.get(p, frozenset())
+                if a and not b:
+                    return ("agree", p, "left")
+                if b and not a and not one_way:
+                    return ("agree", p, "right")
+        if self.conds.kagree:
+            a = c1.world in c1.mem
+            b = c2.world in c2.mem
+            if a and not b:
+                return ("kagree", "left")
+            if b and not a and not one_way:
+                return ("kagree", "right")
+        if self.conds.nagree:
+            for i in self.noms:
+                a = self.left.noms[i] == c1.world
+                b = self.right.noms[i] == c2.world
+                if a and not b:
+                    return ("nagree", i, "left")
+                if b and not a and not one_way:
+                    return ("nagree", i, "right")
+        return None
+
+    def close(self, kind: str, nominal: str | None, pair: Pair) -> Pair:
+        """Both sides after one closure update."""
+        c1, c2 = pair
+        return (
+            Config(*close(kind, nominal, self.left, c1.mem, c1.world)),
+            Config(*close(kind, nominal, self.right, c2.mem, c2.world)),
+        )
+
+    def closure_images(self, pair: Pair) -> list[tuple[str, str | None, Pair]]:
+        return [(kind, nom, self.close(kind, nom, pair)) for kind, nom in self.closures]
+
+    def moves(
+        self, pair: Pair, rel: str, side: str, traced: bool
+    ) -> tuple[tuple[str, ...], tuple[str, ...], Callable[[str, str], Pair]]:
+        """A modal step along rel with ``side`` choosing first: its targets,
+        the other side's replies, and join(target, reply) -> the new pair."""
+        c1, c2 = pair
+        mem1 = step_memory(c1.mem, c1.world, traced)
+        mem2 = step_memory(c2.mem, c2.world, traced)
+        succ1 = self.left.successors(rel, c1.world)
+        succ2 = self.right.successors(rel, c2.world)
+        if side == "left":
+            return succ1, succ2, lambda t, u: (Config(mem1, t), Config(mem2, u))
+        return succ2, succ1, lambda t, u: (Config(mem1, u), Config(mem2, t))
+
+    def modal_violation(self, pair: Pair, related) -> tuple | None:
+        """The first modal clause the pair fails with respect to ``related``,
+        as (clause name, relation, unmatched target), or None."""
+        for rel in self.rels:
+            for name, side, traced in self.clauses:
+                targets, replies, join = self.moves(pair, rel, side, traced)
+                for t in targets:
+                    if not any(join(t, u) in related for u in replies):
+                        return (name, rel, t)
+        return None

@@ -37,6 +37,8 @@ import heapq
 from collections import deque
 from itertools import combinations
 
+from .configs import close, closure_formula, closures, step_memory
+from .equivalence import conditions_for, fixpoint_separator
 from .errors import (
     BudgetExceededError,
     InvariantViolationError,
@@ -46,6 +48,7 @@ from .errors import (
 )
 from .kripke import KripkeModel, PointedModel
 from .syntax import (
+    MODALITIES,
     And,
     At,
     Bottom,
@@ -68,6 +71,7 @@ from .syntax import (
     Top,
     conjoin,
     formula_size,
+    modality,
     print_formula,
 )
 
@@ -110,14 +114,19 @@ class EvalContext:
         self.noms = sorted(self.models[0].noms) if self.models else []
         self.memory_table = _needs_memory_table(spec)
 
+        # Checked before building: each model contributes 2^|W|*|W|
+        # configurations with a memory table, |W| without.
+        size = sum(
+            (2 ** len(m.worlds) if self.memory_table else 1) * len(m.worlds) for m in self.models
+        )
+        if size > MAX_CONFIGS:
+            raise StateSpaceExceededError(MAX_CONFIGS)
         self.configs: list[tuple[int, frozenset[str], str]] = []
         self.index: dict[tuple[int, frozenset[str], str], int] = {}
         for k, m in enumerate(self.models):
             mems = _mem_subsets(m.worlds) if self.memory_table else [frozenset(m.mem)]
             for mem in mems:
                 for w in m.worlds:
-                    if len(self.configs) >= MAX_CONFIGS:
-                        raise StateSpaceExceededError(MAX_CONFIGS)
                     self.index[(k, mem, w)] = len(self.configs)
                     self.configs.append((k, mem, w))
         n = len(self.configs)
@@ -132,28 +141,17 @@ class EvalContext:
             i: self._mask_of(lambda k, mem, w, i=i: self.models[k].noms.get(i) == w)
             for i in self.noms
         }
-        self.succ_mask: dict[str, list[int]] = {}
-        self.traced_succ_mask: dict[str, list[int]] = {}
+        # (rel, traced) -> per configuration, the mask of its successors
+        self.succ_mask: dict[tuple[str, bool], list[int]] = {}
         for r in self.rels:
-            plain, traced = [], []
-            for k, mem, w in self.configs:
-                pm = tm = 0
-                for w2 in self.models[k].successors(r, w):
-                    pm |= 1 << self.index[(k, mem, w2)]
-                    if self.memory_table:
-                        tm |= 1 << self.index[(k, mem | {w}, w2)]
-                plain.append(pm)
-                traced.append(tm)
-            self.succ_mask[r] = plain
-            self.traced_succ_mask[r] = traced
-        if self.memory_table:
-            self.rem_map = [self.index[(k, mem | {w}, w)] for k, mem, w in self.configs]
-            self.forg_map = [self.index[(k, mem - {w}, w)] for k, mem, w in self.configs]
-            self.erase_map = [self.index[(k, frozenset(), w)] for k, mem, w in self.configs]
-        self.at_map = {
-            i: [self.index[(k, mem, self.models[k].noms[i])] for k, mem, w in self.configs]
-            for i in self.noms
-        }
+            for traced in (False, True) if self.memory_table else (False,):
+                masks = []
+                for k, mem, w in self.configs:
+                    after = step_memory(mem, w, traced)
+                    succ = self.models[k].successors(r, w)
+                    masks.append(sum(1 << self.index[(k, after, w2)] for w2 in succ))
+                self.succ_mask[(r, traced)] = masks
+        self._closure_maps: dict[tuple[str, str | None], list[int]] = {}
 
     def _mask_of(self, pred) -> int:
         out = 0
@@ -175,56 +173,35 @@ class EvalContext:
     def not_t(self, m: int) -> int:
         return self.full & ~m
 
-    def diamond_t(self, rel: str, m: int) -> int:
-        masks = self.succ_mask[rel]
+    def modal_t(self, operator: str, rel: str, m: int) -> int:
+        """The meaning of operator (diamond, box, ddiamond, dbox) along rel
+        applied to a formula meaning m; the boxes are the dual diamonds."""
+        traced = operator in ("ddiamond", "dbox")
+        if operator in ("box", "dbox"):
+            return self.not_t(self._preimage(rel, traced, self.not_t(m)))
+        return self._preimage(rel, traced, m)
+
+    def _preimage(self, rel: str, traced: bool, m: int) -> int:
         out = 0
-        for b in range(len(self.configs)):
-            if masks[b] & m:
+        for b, succ in enumerate(self.succ_mask.get((rel, traced), ())):
+            if succ & m:
                 out |= 1 << b
         return out
 
-    def box_t(self, rel: str, m: int) -> int:
-        masks = self.succ_mask[rel]
-        out = 0
-        for b in range(len(self.configs)):
-            if masks[b] & ~m == 0:
-                out |= 1 << b
-        return out
-
-    def ddiamond_t(self, rel: str, m: int) -> int:
-        masks = self.traced_succ_mask[rel]
-        out = 0
-        for b in range(len(self.configs)):
-            if masks[b] & m:
-                out |= 1 << b
-        return out
-
-    def dbox_t(self, rel: str, m: int) -> int:
-        masks = self.traced_succ_mask[rel]
-        out = 0
-        for b in range(len(self.configs)):
-            if masks[b] & ~m == 0:
-                out |= 1 << b
-        return out
-
-    def _pullback(self, mapping: list[int], m: int) -> int:
+    def closure_t(self, kind: str, nominal: str | None, m: int) -> int:
+        """The meaning of the closure update's operator applied to m."""
+        mapping = self._closure_maps.get((kind, nominal))
+        if mapping is None:
+            mapping = [
+                self.index[(k, *close(kind, nominal, self.models[k], mem, w))]
+                for k, mem, w in self.configs
+            ]
+            self._closure_maps[(kind, nominal)] = mapping
         out = 0
         for b, img in enumerate(mapping):
             if (m >> img) & 1:
                 out |= 1 << b
         return out
-
-    def rem_t(self, m: int) -> int:
-        return self._pullback(self.rem_map, m)
-
-    def forg_t(self, m: int) -> int:
-        return self._pullback(self.forg_map, m)
-
-    def erase_t(self, m: int) -> int:
-        return self._pullback(self.erase_map, m)
-
-    def at_t(self, nom: str, m: int) -> int:
-        return self._pullback(self.at_map[nom], m)
 
     # -- full evaluator --------------------------------------------------------
 
@@ -252,26 +229,26 @@ class EvalContext:
             case Iff(a, b):
                 return self.not_t(self.meaning(a) ^ self.meaning(b))
             case Diamond(rel, sub):
-                return self.diamond_t(rel, self.meaning(sub)) if rel in self.succ_mask else 0
+                return self.modal_t("diamond", rel, self.meaning(sub))
             case Box(rel, sub):
-                return self.box_t(rel, self.meaning(sub)) if rel in self.succ_mask else self.full
+                return self.modal_t("box", rel, self.meaning(sub))
             case DDiamond(rel, sub):
                 self._require_memory_table(phi)
-                return self.ddiamond_t(rel, self.meaning(sub)) if rel in self.succ_mask else 0
+                return self.modal_t("ddiamond", rel, self.meaning(sub))
             case DBox(rel, sub):
                 self._require_memory_table(phi)
-                return self.dbox_t(rel, self.meaning(sub)) if rel in self.succ_mask else self.full
+                return self.modal_t("dbox", rel, self.meaning(sub))
             case Remember(sub):
                 self._require_memory_table(phi)
-                return self.rem_t(self.meaning(sub))
+                return self.closure_t("remember", None, self.meaning(sub))
             case Forget(sub):
                 self._require_memory_table(phi)
-                return self.forg_t(self.meaning(sub))
+                return self.closure_t("forget", None, self.meaning(sub))
             case Erase(sub):
                 self._require_memory_table(phi)
-                return self.erase_t(self.meaning(sub))
+                return self.closure_t("erase", None, self.meaning(sub))
             case At(nom, sub):
-                return self.at_t(nom, self.meaning(sub))
+                return self.closure_t("nom", nom, self.meaning(sub))
         raise TypeError(f"not a formula: {phi!r}")
 
     def _require_memory_table(self, phi: Formula) -> None:
@@ -284,34 +261,30 @@ class EvalContext:
 
 
 def _silent_wraps(ctx: EvalContext) -> list:
-    spec = ctx.spec
     wraps = []
-    if spec.has_negation:
+    if ctx.spec.has_negation:
         wraps.append((Not, ctx.not_t))
-    if spec.allows("remember"):
-        wraps.append((Remember, ctx.rem_t))
-    if spec.allows("forget"):
-        wraps.append((Forget, ctx.forg_t))
-    if spec.allows("erase"):
-        wraps.append((Erase, ctx.erase_t))
-    if spec.allows("at"):
-        for i in ctx.noms:
-            wraps.append((lambda sub, i=i: At(i, sub), lambda m, i=i: ctx.at_t(i, m)))
+    for kind, nom in closures(conditions_for(ctx.spec), ctx.noms):
+        wraps.append(
+            (
+                lambda sub, kind=kind, nom=nom: closure_formula(kind, nom, sub),
+                lambda m, kind=kind, nom=nom: ctx.closure_t(kind, nom, m),
+            )
+        )
     return wraps
 
 
 def _modal_wraps(ctx: EvalContext) -> list:
-    spec = ctx.spec
     wraps = []
     for r in ctx.rels:
-        if spec.allows("diamond"):
-            wraps.append((lambda sub, r=r: Diamond(r, sub), lambda m, r=r: ctx.diamond_t(r, m)))
-        if spec.allows("box"):
-            wraps.append((lambda sub, r=r: Box(r, sub), lambda m, r=r: ctx.box_t(r, m)))
-        if spec.allows("ddiamond"):
-            wraps.append((lambda sub, r=r: DDiamond(r, sub), lambda m, r=r: ctx.ddiamond_t(r, m)))
-        if spec.allows("dbox"):
-            wraps.append((lambda sub, r=r: DBox(r, sub), lambda m, r=r: ctx.dbox_t(r, m)))
+        for op, build in MODALITIES.items():
+            if ctx.spec.allows(op):
+                wraps.append(
+                    (
+                        lambda sub, r=r, build=build: build(r, sub),
+                        lambda m, r=r, op=op: ctx.modal_t(op, r, m),
+                    )
+                )
     return wraps
 
 
@@ -470,24 +443,15 @@ class JointPartition:
             for cell in list(self.cells):
                 chi = self._chi_for(cell)
                 for r in ctx.rels:
-                    if self.spec.allows("diamond") or self.spec.allows("box"):
-                        seeds.append((self._mk_diamond(r, chi), ctx.diamond_t(r, cell)))
-                    if self.spec.allows("ddiamond") or self.spec.allows("dbox"):
-                        seeds.append((self._mk_ddiamond(r, chi), ctx.ddiamond_t(r, cell)))
+                    for op, dual in (("diamond", "box"), ("ddiamond", "dbox")):
+                        if self.spec.allows(op) or self.spec.allows(dual):
+                            seeds.append(
+                                (modality(self.spec, op, r, chi), ctx.modal_t(op, r, cell))
+                            )
             changed = wave(seeds)
             if not changed:
                 self.saturated = True
                 return
-
-    def _mk_diamond(self, rel: str, sub: Formula) -> Formula:
-        if self.spec.allows("diamond"):
-            return Diamond(rel, sub)
-        return Not(Box(rel, Not(sub)))
-
-    def _mk_ddiamond(self, rel: str, sub: Formula) -> Formula:
-        if self.spec.allows("ddiamond"):
-            return DDiamond(rel, sub)
-        return Not(DBox(rel, Not(sub)))
 
     def _apply(self, phi: Formula, mask: int) -> bool:
         split_any = False
@@ -572,27 +536,13 @@ def separating_formula(
     left.require_world(w)
     right.require_world(v)
     if _relational_route(spec):
-        return _relational_separator(spec, left, w, right, v, depth)
+        return fixpoint_separator(spec, left, w, right, v, depth, MAX_CONFIGS)
     if not spec.has_negation:
         raise UnsupportedFeaturesError(
             "bounded search for memory or jump dialects needs negation in the dialect"
         )
     part = JointPartition(spec, [left, right], max_depth=depth, max_tests=max_tests)
     return part.separator_between(part.ctx.start_bit(0, w), part.ctx.start_bit(1, v))
-
-
-def _relational_separator(spec, left, w, right, v, depth):
-    from .equivalence import Config, _Engine, _Tracer, conditions_for
-
-    engine = _Engine(conditions_for(spec), left, right, MAX_CONFIGS)
-    initial = (Config(frozenset(left.mem), w), Config(frozenset(right.mem), v))
-    engine.run(initial)
-    if initial in engine.alive:
-        return None
-    rnd, _ = engine.dead[initial]
-    if rnd > depth:
-        return None
-    return _Tracer(spec, engine).trace(initial)
 
 
 def equivalent_up_to(
@@ -619,20 +569,10 @@ def equivalent_up_to(
         a = part.cell_index_of(part.ctx.start_bit(0, w))
         b = part.cell_index_of(part.ctx.start_bit(1, v))
         return a == b
+
+    def separated(a: KripkeModel, x: str, b: KripkeModel, y: str) -> bool:
+        return fixpoint_separator(spec, a, x, b, y, depth, MAX_CONFIGS) is not None
+
     if spec.has_negation:
-        return _survives_to(spec, left, w, right, v, depth)
-    return _survives_to(spec, left, w, right, v, depth) and _survives_to(
-        spec, right, v, left, w, depth
-    )
-
-
-def _survives_to(spec, left, w, right, v, depth) -> bool:
-    from .equivalence import Config, _Engine, conditions_for
-
-    engine = _Engine(conditions_for(spec), left, right, MAX_CONFIGS)
-    initial = (Config(frozenset(left.mem), w), Config(frozenset(right.mem), v))
-    engine.run(initial)
-    if initial in engine.alive:
-        return True
-    rnd, _ = engine.dead[initial]
-    return rnd > depth
+        return not separated(left, w, right, v)
+    return not separated(left, w, right, v) and not separated(right, v, left, w)

@@ -31,25 +31,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import InvariantViolationError, StateSpaceExceededError
+from .configs import (
+    CLAUSES,
+    Config,
+    Pair,
+    PairSpace,
+    closure_formula,
+    initial_pair,
+    pair_key,
+)
+from .errors import StateSpaceExceededError
 from .kripke import KripkeModel
 from .syntax import (
-    At,
-    Box,
-    DBox,
-    DDiamond,
-    Diamond,
-    Erase,
-    Forget,
     Formula,
     Known,
     LogicSpec,
     Nom,
     Not,
     Prop,
-    Remember,
     conjoin,
     disjoin,
+    modality,
 )
 
 DEFAULT_MAX_PAIRS = 2**20
@@ -110,20 +112,6 @@ def directed_conditions(conds: SimConditions) -> SimConditions:
 
 
 @dataclass(frozen=True)
-class Config:
-    """One side of a simulation pair: a memory state and a current world."""
-
-    mem: frozenset[str]
-    world: str
-
-    def render(self) -> str:
-        return f"({','.join(sorted(self.mem))}|{self.world})"
-
-
-Pair = tuple[Config, Config]
-
-
-@dataclass(frozen=True)
 class SimulationOutcome:
     related: bool
     witness: frozenset[Pair] | None
@@ -137,7 +125,7 @@ def serialize_witness(witness: frozenset[Pair]) -> str:
     return "\n".join(lines)
 
 
-class _Engine:
+class _Engine(PairSpace):
     def __init__(
         self,
         conds: SimConditions,
@@ -145,125 +133,40 @@ class _Engine:
         right: KripkeModel,
         max_pairs: int,
     ):
-        self.conds = conds
-        self.left = left
-        self.right = right
+        super().__init__(conds, left, right)
         self.max_pairs = max_pairs
-        self.props = sorted(set(left.val) | set(right.val))
-        self.rels = sorted(set(left.rels) | set(right.rels))
-        if conds.nagree or conds.nom:
-            if sorted(left.noms) != sorted(right.noms):
-                raise InvariantViolationError(
-                    "nominal comparison requires both models to assign the same nominals"
-                )
-        self.noms = sorted(set(left.noms) & set(right.noms))
         self.dead: dict[Pair, tuple[int, tuple]] = {}
         self.alive: set[Pair] = set()
-
-    # -- condition primitives ------------------------------------------------
-
-    def static_violation(self, pair: Pair) -> tuple | None:
-        c1, c2 = pair
-        one_way = self.conds.atomic_one_directional
-        if self.conds.agree:
-            for p in self.props:
-                a = c1.world in self.left.val.get(p, frozenset())
-                b = c2.world in self.right.val.get(p, frozenset())
-                if a and not b:
-                    return ("agree", p, "left")
-                if b and not a and not one_way:
-                    return ("agree", p, "right")
-        if self.conds.kagree:
-            a = c1.world in c1.mem
-            b = c2.world in c2.mem
-            if a and not b:
-                return ("kagree", "left")
-            if b and not a and not one_way:
-                return ("kagree", "right")
-        if self.conds.nagree:
-            for i in self.noms:
-                a = self.left.noms[i] == c1.world
-                b = self.right.noms[i] == c2.world
-                if a and not b:
-                    return ("nagree", i, "left")
-                if b and not a and not one_way:
-                    return ("nagree", i, "right")
-        return None
-
-    def closure_images(self, pair: Pair) -> list[tuple[str, str | None, Pair]]:
-        c1, c2 = pair
-        images = []
-        if self.conds.remember:
-            images.append(
-                (
-                    "remember",
-                    None,
-                    (Config(c1.mem | {c1.world}, c1.world), Config(c2.mem | {c2.world}, c2.world)),
-                )
-            )
-        if self.conds.forget:
-            images.append(
-                (
-                    "forget",
-                    None,
-                    (Config(c1.mem - {c1.world}, c1.world), Config(c2.mem - {c2.world}, c2.world)),
-                )
-            )
-        if self.conds.erase:
-            images.append(
-                ("erase", None, (Config(frozenset(), c1.world), Config(frozenset(), c2.world)))
-            )
-        if self.conds.nom:
-            for i in self.noms:
-                images.append(
-                    ("nom", i, (Config(c1.mem, self.left.noms[i]), Config(c2.mem, self.right.noms[i])))
-                )
-        return images
-
-    def move_pairs(self, pair: Pair, rel: str, traced: bool) -> tuple[tuple, tuple, list[Pair]]:
-        """Successor worlds on both sides and the full candidate cross product."""
-        c1, c2 = pair
-        succ1 = self.left.successors(rel, c1.world)
-        succ2 = self.right.successors(rel, c2.world)
-        if traced:
-            mem1, mem2 = c1.mem | {c1.world}, c2.mem | {c2.world}
-        else:
-            mem1, mem2 = c1.mem, c2.mem
-        cross = [
-            (Config(mem1, a), Config(mem2, b)) for a in succ1 for b in succ2
-        ]
-        return succ1, succ2, cross
 
     # -- materialization -----------------------------------------------------
 
     def materialize(self, initial: Pair) -> list[Pair]:
         if not self.conds.memory_active:
-            mem1 = Config(frozenset(self.left.mem), "")
-            pairs = [
-                (Config(frozenset(self.left.mem), a), Config(frozenset(self.right.mem), b))
+            if len(self.left.worlds) * len(self.right.worlds) > self.max_pairs:
+                raise StateSpaceExceededError(self.max_pairs)
+            mem1, mem2 = initial[0].mem, initial[1].mem
+            return [
+                (Config(mem1, a), Config(mem2, b))
                 for a in self.left.worlds
                 for b in self.right.worlds
             ]
-            if len(pairs) > self.max_pairs:
-                raise StateSpaceExceededError(self.max_pairs)
-            return pairs
+        steps = sorted({traced for _, _, traced in self.clauses})
         seen = {initial}
         queue = [initial]
         while queue:
             pair = queue.pop()
             neighbours: list[Pair] = [img for _, _, img in self.closure_images(pair)]
             for rel in self.rels:
-                if self.conds.forth or self.conds.back:
-                    neighbours.extend(self.move_pairs(pair, rel, traced=False)[2])
-                if self.conds.mforth or self.conds.mback:
-                    neighbours.extend(self.move_pairs(pair, rel, traced=True)[2])
+                for traced in steps:
+                    targets, replies, join = self.moves(pair, rel, "left", traced)
+                    neighbours.extend(join(t, u) for t in targets for u in replies)
             for nxt in neighbours:
                 if nxt not in seen:
                     if len(seen) >= self.max_pairs:
                         raise StateSpaceExceededError(self.max_pairs)
                     seen.add(nxt)
                     queue.append(nxt)
-        return sorted(seen, key=_pair_key)
+        return sorted(seen, key=pair_key)
 
     # -- the fixpoint --------------------------------------------------------
 
@@ -279,7 +182,7 @@ class _Engine:
         while True:
             rnd += 1
             doomed = []
-            for pair in sorted(self.alive, key=_pair_key):
+            for pair in sorted(self.alive, key=pair_key):
                 reason = self.violation(pair)
                 if reason is not None:
                     doomed.append((pair, reason))
@@ -293,60 +196,14 @@ class _Engine:
         for kind, info, image in self.closure_images(pair):
             if image not in self.alive:
                 return (kind, info, image)
-        for rel in self.rels:
-            if self.conds.forth or self.conds.back:
-                succ1, succ2, _ = self.move_pairs(pair, rel, traced=False)
-                mem1, mem2 = pair[0].mem, pair[1].mem
-                if self.conds.forth:
-                    for a in succ1:
-                        if not any(
-                            (Config(mem1, a), Config(mem2, b)) in self.alive for b in succ2
-                        ):
-                            return ("forth", rel, a)
-                if self.conds.back:
-                    for b in succ2:
-                        if not any(
-                            (Config(mem1, a), Config(mem2, b)) in self.alive for a in succ1
-                        ):
-                            return ("back", rel, b)
-            if self.conds.mforth or self.conds.mback:
-                succ1, succ2, _ = self.move_pairs(pair, rel, traced=True)
-                mem1 = pair[0].mem | {pair[0].world}
-                mem2 = pair[1].mem | {pair[1].world}
-                if self.conds.mforth:
-                    for a in succ1:
-                        if not any(
-                            (Config(mem1, a), Config(mem2, b)) in self.alive for b in succ2
-                        ):
-                            return ("mforth", rel, a)
-                if self.conds.mback:
-                    for b in succ2:
-                        if not any(
-                            (Config(mem1, a), Config(mem2, b)) in self.alive for a in succ1
-                        ):
-                            return ("mback", rel, b)
-        return None
-
-
-def _pair_key(pair: Pair) -> tuple:
-    c1, c2 = pair
-    return (c1.world, tuple(sorted(c1.mem)), c2.world, tuple(sorted(c2.mem)))
+        return self.modal_violation(pair, self.alive)
 
 
 # ---------------------------------------------------------------------------
 # Distinguisher extraction by refinement tracing (non-memory dialects)
 
-
-def _mk_box(spec: LogicSpec, rel: str, sub: Formula) -> Formula:
-    if spec.allows("box"):
-        return Box(rel, sub)
-    return Not(Diamond(rel, Not(sub)))
-
-
-def _mk_dbox(spec: LogicSpec, rel: str, sub: Formula) -> Formula:
-    if spec.allows("dbox"):
-        return DBox(rel, sub)
-    return Not(DDiamond(rel, Not(sub)))
+# The operator whose truth a failed clause's distinguisher asserts.
+_CLAUSE_OPERATOR = {"forth": "diamond", "back": "box", "mforth": "ddiamond", "mback": "dbox"}
 
 
 class _Tracer:
@@ -380,44 +237,14 @@ class _Tracer:
                 return Nom(i)
             case ("nagree", i, "right"):
                 return Not(Nom(i))
-            case ("remember", None, image):
-                return Remember(self.trace(image))
-            case ("forget", None, image):
-                return Forget(self.trace(image))
-            case ("erase", None, image):
-                return Erase(self.trace(image))
-            case ("nom", i, image):
-                return At(i, self.trace(image))
-            case ("forth", rel, a):
-                c1, c2 = pair
-                parts = [
-                    self.trace((Config(c1.mem, a), Config(c2.mem, b)))
-                    for b in self.engine.right.successors(rel, c2.world)
-                ]
-                return Diamond(rel, conjoin(parts))
-            case ("back", rel, b):
-                c1, c2 = pair
-                parts = [
-                    self.trace((Config(c1.mem, a), Config(c2.mem, b)))
-                    for a in self.engine.left.successors(rel, c1.world)
-                ]
-                return _mk_box(self.spec, rel, disjoin(parts))
-            case ("mforth", rel, a):
-                c1, c2 = pair
-                mem1, mem2 = c1.mem | {c1.world}, c2.mem | {c2.world}
-                parts = [
-                    self.trace((Config(mem1, a), Config(mem2, b)))
-                    for b in self.engine.right.successors(rel, c2.world)
-                ]
-                return DDiamond(rel, conjoin(parts))
-            case ("mback", rel, b):
-                c1, c2 = pair
-                mem1, mem2 = c1.mem | {c1.world}, c2.mem | {c2.world}
-                parts = [
-                    self.trace((Config(mem1, a), Config(mem2, b)))
-                    for a in self.engine.left.successors(rel, c1.world)
-                ]
-                return _mk_dbox(self.spec, rel, disjoin(parts))
+            case (("remember" | "forget" | "erase" | "nom") as kind, info, image):
+                return closure_formula(kind, info, self.trace(image))
+            case (("forth" | "back" | "mforth" | "mback") as name, rel, target):
+                side, traced = CLAUSES[name]
+                _, replies, join = self.engine.moves(pair, rel, side, traced)
+                parts = [self.trace(join(target, u)) for u in replies]
+                sub = conjoin(parts) if side == "left" else disjoin(parts)
+                return modality(self.spec, _CLAUSE_OPERATOR[name], rel, sub)
         raise AssertionError(f"unknown deletion reason {reason!r}")
 
 
@@ -438,7 +265,7 @@ def _solve(
     left.require_world(w)
     right.require_world(v)
     engine = _Engine(conds, left, right, max_pairs)
-    initial: Pair = (Config(frozenset(left.mem), w), Config(frozenset(right.mem), v))
+    initial = initial_pair(left, w, right, v)
     engine.run(initial)
     if initial in engine.alive:
         return SimulationOutcome(True, frozenset(engine.alive), None)
@@ -450,6 +277,26 @@ def _solve(
         phi = separating_formula(spec, left, w, right, v, depth=distinguisher_depth)
         return SimulationOutcome(False, None, phi)
     return SimulationOutcome(False, None, _Tracer(spec, engine).trace(initial))
+
+
+def fixpoint_separator(
+    spec: LogicSpec,
+    left: KripkeModel,
+    w: str,
+    right: KripkeModel,
+    v: str,
+    depth: int,
+    max_pairs: int,
+) -> Formula | None:
+    """For dialects without memory or jump operators, whose deletion rounds
+    count modal depth: the traced distinguisher when the canonical fixpoint
+    deletes the initial pair within ``depth`` rounds, else None."""
+    engine = _Engine(conditions_for(spec), left, right, max_pairs)
+    initial = initial_pair(left, w, right, v)
+    engine.run(initial)
+    if initial in engine.alive or engine.dead[initial][0] > depth:
+        return None
+    return _Tracer(spec, engine).trace(initial)
 
 
 def bisimilar(
@@ -503,40 +350,20 @@ def verify_relation(
     conditions; None if it passes, otherwise (offending pair, reason)."""
     if not relation:
         return (None, "a simulation must be non-empty")
-    engine = _Engine(conds, left, right, max_pairs=DEFAULT_MAX_PAIRS)
+    space = PairSpace(conds, left, right)
     pairs = set(relation)
-    for pair in sorted(pairs, key=_pair_key):
-        reason = engine.static_violation(pair)
+    for pair in sorted(pairs, key=pair_key):
+        reason = space.static_violation(pair)
         if reason is not None:
             return (pair, f"static condition fails: {reason}")
-        for kind, info, image in engine.closure_images(pair):
+        for kind, info, image in space.closure_images(pair):
             if image not in pairs:
                 label = f"{kind} {info}" if info else kind
                 return (pair, f"closure condition {label} leads outside the relation")
-        for rel in engine.rels:
-            c1, c2 = pair
-            if conds.forth:
-                succ2 = right.successors(rel, c2.world)
-                for a in left.successors(rel, c1.world):
-                    if not any((Config(c1.mem, a), Config(c2.mem, b)) in pairs for b in succ2):
-                        return (pair, f"forth fails for {rel}:{a}")
-            if conds.back:
-                succ1 = left.successors(rel, c1.world)
-                for b in right.successors(rel, c2.world):
-                    if not any((Config(c1.mem, a), Config(c2.mem, b)) in pairs for a in succ1):
-                        return (pair, f"back fails for {rel}:{b}")
-            if conds.mforth:
-                mem1, mem2 = c1.mem | {c1.world}, c2.mem | {c2.world}
-                succ2 = right.successors(rel, c2.world)
-                for a in left.successors(rel, c1.world):
-                    if not any((Config(mem1, a), Config(mem2, b)) in pairs for b in succ2):
-                        return (pair, f"mforth fails for {rel}:{a}")
-            if conds.mback:
-                mem1, mem2 = c1.mem | {c1.world}, c2.mem | {c2.world}
-                succ1 = left.successors(rel, c1.world)
-                for b in right.successors(rel, c2.world):
-                    if not any((Config(mem1, a), Config(mem2, b)) in pairs for a in succ1):
-                        return (pair, f"mback fails for {rel}:{b}")
+        failed = space.modal_violation(pair, pairs)
+        if failed is not None:
+            name, rel, target = failed
+            return (pair, f"{name} fails for {rel}:{target}")
     return None
 
 

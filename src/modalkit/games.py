@@ -29,14 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .configs import Config, PairSpace, initial_pair
 from .errors import IllegalMoveError, StateSpaceExceededError
-from .equivalence import (
-    DEFAULT_MAX_PAIRS,
-    Config,
-    SimConditions,
-    _Engine,
-    conditions_for,
-)
+from .equivalence import SimConditions, conditions_for
 from .kripke import KripkeModel
 from .syntax import LogicSpec
 
@@ -109,25 +104,20 @@ class Game:
         self.left = left
         self.right = right
         self.conds = conditions if conditions is not None else conditions_for(spec)
-        self._helper = _Engine(self.conds, left, right, DEFAULT_MAX_PAIRS)
+        self._space = PairSpace(self.conds, left, right)
 
     def initial(self, w: str, v: str, *, rounds: int | None = None) -> GameState:
         self.left.require_world(w)
         self.right.require_world(v)
-        return GameState(
-            Config(frozenset(self.left.mem), w),
-            Config(frozenset(self.right.mem), v),
-            "spoiler",
-            None,
-            rounds,
-        )
+        c1, c2 = initial_pair(self.left, w, self.right, v)
+        return GameState(c1, c2, "spoiler", None, rounds)
 
     # -- rules -----------------------------------------------------------------
 
     def winner_at(self, state: GameState) -> str | None:
         """The winner if the state is terminal, else None."""
         if state.turn == "spoiler":
-            if self._helper.static_violation((state.left, state.right)) is not None:
+            if self._space.static_violation((state.left, state.right)) is not None:
                 return "spoiler"
             if state.rounds_left is not None and state.rounds_left <= 0:
                 return "duplicator"
@@ -139,52 +129,24 @@ class Game:
         return None
 
     def legal_moves(self, state: GameState) -> list[Move]:
-        conds = self.conds
+        space = self._space
+        pair = (state.left, state.right)
         if state.turn == "spoiler":
-            moves: list[Move] = []
-            if conds.remember:
-                moves.append(ClosureMove("remember"))
-            if conds.forget:
-                moves.append(ClosureMove("forget"))
-            if conds.erase:
-                moves.append(ClosureMove("erase"))
-            if conds.nom:
-                moves.extend(ClosureMove("nom", i) for i in self._helper.noms)
-            for rel in self._helper.rels:
-                if conds.forth:
-                    moves.extend(
-                        SpoilerMove("left", rel, t, False)
-                        for t in self.left.successors(rel, state.left.world)
-                    )
-                if conds.back:
-                    moves.extend(
-                        SpoilerMove("right", rel, t, False)
-                        for t in self.right.successors(rel, state.right.world)
-                    )
-                if conds.mforth:
-                    moves.extend(
-                        SpoilerMove("left", rel, t, True)
-                        for t in self.left.successors(rel, state.left.world)
-                    )
-                if conds.mback:
-                    moves.extend(
-                        SpoilerMove("right", rel, t, True)
-                        for t in self.right.successors(rel, state.right.world)
-                    )
+            moves: list[Move] = [ClosureMove(kind, nom) for kind, nom in space.closures]
+            for rel in space.rels:
+                for _, side, traced in space.clauses:
+                    targets, _, _ = space.moves(pair, rel, side, traced)
+                    moves.extend(SpoilerMove(side, rel, t, traced) for t in targets)
             return moves
         pend = state.pending
         if pend is None:
             return []
-        if pend.side == "left":
-            targets = self.right.successors(pend.rel, state.right.world)
-        else:
-            targets = self.left.successors(pend.rel, state.left.world)
-        replies = []
-        for t in targets:
-            nxt = self._resolve(state, pend, t)
-            if self._helper.static_violation((nxt.left, nxt.right)) is None:
-                replies.append(DuplicatorMove(t))
-        return replies
+        _, replies, join = space.moves(pair, pend.rel, pend.side, pend.traced)
+        return [
+            DuplicatorMove(u)
+            for u in replies
+            if space.static_violation(join(pend.target, u)) is None
+        ]
 
     def apply(self, state: GameState, move: Move) -> GameState:
         if self.winner_at(state) is not None:
@@ -194,35 +156,16 @@ class Game:
         return self._apply_unchecked(state, move)
 
     def _apply_unchecked(self, state: GameState, move: Move) -> GameState:
+        pair = (state.left, state.right)
         if isinstance(move, ClosureMove):
-            c1, c2 = state.left, state.right
-            if move.kind == "remember":
-                new = (Config(c1.mem | {c1.world}, c1.world), Config(c2.mem | {c2.world}, c2.world))
-            elif move.kind == "forget":
-                new = (Config(c1.mem - {c1.world}, c1.world), Config(c2.mem - {c2.world}, c2.world))
-            elif move.kind == "erase":
-                new = (Config(frozenset(), c1.world), Config(frozenset(), c2.world))
-            else:
-                new = (
-                    Config(c1.mem, self.left.noms[move.nominal]),
-                    Config(c2.mem, self.right.noms[move.nominal]),
-                )
-            return GameState(new[0], new[1], "spoiler", None, _spend(state.rounds_left))
+            c1, c2 = self._space.close(move.kind, move.nominal, pair)
+            return GameState(c1, c2, "spoiler", None, _spend(state.rounds_left))
         if isinstance(move, SpoilerMove):
             return GameState(state.left, state.right, "duplicator", move, _spend(state.rounds_left))
-        return self._resolve(state, state.pending, move.target)
-
-    def _resolve(self, state: GameState, pend: SpoilerMove, reply: str) -> GameState:
-        c1, c2 = state.left, state.right
-        if pend.traced:
-            mem1, mem2 = c1.mem | {c1.world}, c2.mem | {c2.world}
-        else:
-            mem1, mem2 = c1.mem, c2.mem
-        if pend.side == "left":
-            new = (Config(mem1, pend.target), Config(mem2, reply))
-        else:
-            new = (Config(mem1, reply), Config(mem2, pend.target))
-        return GameState(new[0], new[1], "spoiler", None, state.rounds_left)
+        pend = state.pending
+        _, _, join = self._space.moves(pair, pend.rel, pend.side, pend.traced)
+        c1, c2 = join(pend.target, move.target)
+        return GameState(c1, c2, "spoiler", None, state.rounds_left)
 
     # -- solving -----------------------------------------------------------------
 

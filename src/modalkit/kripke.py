@@ -81,6 +81,11 @@ class KripkeModel:
         object.__setattr__(self, "mem", mem)
         object.__setattr__(self, "noms", noms)
         object.__setattr__(self, "_sig", sig)
+        succ: dict[tuple[str, str], list[str]] = {}
+        for name, pairs in rels.items():
+            for a, b in pairs:
+                succ.setdefault((name, a), []).append(b)
+        object.__setattr__(self, "_succ", {key: tuple(sorted(bs)) for key, bs in succ.items()})
 
     def _canonical_key(self):
         return (
@@ -99,9 +104,9 @@ class KripkeModel:
         return self._sig  # type: ignore[attr-defined]
 
     def successors(self, rel: str, world: str) -> tuple[str, ...]:
-        """Sorted successors of world via rel (empty for undeclared rels)."""
-        pairs = self.rels.get(rel, frozenset())
-        return tuple(sorted(b for a, b in pairs if a == world))
+        """Sorted successors of world via rel (empty for an undeclared rel or
+        a world without successors)."""
+        return self._succ.get((rel, world), ())  # type: ignore[attr-defined]
 
     def require_world(self, world: str) -> None:
         if world not in self.worlds:

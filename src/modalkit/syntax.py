@@ -272,6 +272,18 @@ class At(Formula):
     sub: Formula
 
 
+MODALITIES = {"diamond": Diamond, "box": Box, "ddiamond": DDiamond, "dbox": DBox}
+_DUALS = {"diamond": "box", "box": "diamond", "ddiamond": "dbox", "dbox": "ddiamond"}
+
+
+def modality(spec: LogicSpec, operator: str, rel: str, sub: Formula) -> Formula:
+    """The modal operator applied to sub, written as its dual ~op~sub when
+    the dialect lacks the operator itself."""
+    if spec.allows(operator):
+        return MODALITIES[operator](rel, sub)
+    return Not(MODALITIES[_DUALS[operator]](rel, Not(sub)))
+
+
 # ---------------------------------------------------------------------------
 # Depth and validation
 

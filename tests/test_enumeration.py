@@ -10,6 +10,8 @@ connectives, so theory agreement on it is necessary but not sufficient for
 bounded equivalence.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,13 @@ def test_context_rejects_memory_ops_without_table():
 
 
 def test_context_capped(monkeypatch):
+    # 2**18 * 18 configurations exceed the default cap, which is checked
+    # before any configuration is built.
+    big = KripkeModel(tuple(f"w{i:02d}" for i in range(18)), {"r": frozenset()})
+    start = time.perf_counter()
+    with pytest.raises(StateSpaceExceededError):
+        EvalContext(ML, [big])
+    assert time.perf_counter() - start < 1.0
     monkeypatch.setattr(enumeration, "MAX_CONFIGS", 7)
     model, _ = fixture_model("two_cycle.km")  # 4 subsets x 2 worlds = 8 configs
     with pytest.raises(StateSpaceExceededError):

@@ -7,6 +7,8 @@ formulas.  verify_relation doubles as the oracle for engine output: whatever
 the fixpoint returns as a witness must pass the defining conditions verbatim.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,14 @@ def test_pair_space_caps():
     cyc, b = fixture_model("two_cycle.km")
     with pytest.raises(StateSpaceExceededError):
         bisimilar(ML, refl, a, cyc, b, max_pairs=2, distinguisher_depth=0)
+    # 1100 x 1100 world pairs exceed the default cap, which is checked
+    # before any pair is built.
+    worlds = tuple(f"w{i:04d}" for i in range(1100))
+    chain = KripkeModel(worlds, {"r": frozenset(zip(worlds, worlds[1:]))})
+    start = time.perf_counter()
+    with pytest.raises(StateSpaceExceededError):
+        bisimilar(BML, chain, worlds[0], chain, worlds[0])
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
