@@ -227,30 +227,49 @@ def definability_check(
     the dialect (on the universe)?
 
     First the subset is checked for closure under the dialect's canonical
-    relation: a related pair crossing the boundary is returned as a
-    not_closed witness.  Then a definer is searched for in the canonical
-    stream; for boolean dialects a disjunction of meaning-class
-    characteristics completes the search whenever the closure check passed.
+    relation: the first member inside (in universe order) related to a
+    member outside is returned with the first such outside member as a
+    not_closed witness.  For a dialect with negation, related means sharing
+    a cell of the saturated meaning partition of the universe; without
+    negation (the notion is directed), or when the partition exceeds its
+    budget or cap, each pair is asked of ``bisimilar``.  Then a definer is
+    searched for in the canonical stream; failing that, the disjunction of
+    the partition's characteristics of the members inside completes the
+    search.
     """
     wanted = set(members)
     for name in wanted:
         if name not in universe.names:
             raise UnknownNameError(name, "universe member")
-    inside = [(n, pm) for n, pm in zip(universe.names, universe.members) if n in wanted]
-    outside = [(n, pm) for n, pm in zip(universe.names, universe.members) if n not in wanted]
+    names, pointed = universe.names, universe.members
+    models = [pm.model for pm in pointed]
 
-    for in_name, pm_in in inside:
-        for out_name, pm_out in outside:
-            verdict = bisimilar(spec, pm_in.model, pm_in.world, pm_out.model, pm_out.world)
-            if verdict.related:
-                return DefinabilityResult("not_closed", witness=(in_name, out_name))
+    part = cell = None
+    if spec.has_negation:
+        try:
+            part = JointPartition(spec, models, max_depth=None, max_tests=budget)
+        except (BudgetExceededError, StateSpaceExceededError, InvariantViolationError):
+            pass  # a context that cannot be built raises again below, after the pairs
+        else:
+            cell = [part.cell_index_of(part.ctx.start_bit(k, pm.world)) for k, pm in enumerate(pointed)]
 
-    models = [pm.model for pm in universe.members]
-    ctx = EvalContext(spec, models)
-    bits = [ctx.start_bit(k, pm.world) for k, pm in enumerate(universe.members)]
-    in_bits = [bits[k] for k, n in enumerate(universe.names) if n in wanted]
-    out_bits = [bits[k] for k, n in enumerate(universe.names) if n not in wanted]
+    def related(i: int, o: int) -> bool:
+        if cell is not None:
+            return cell[i] == cell[o]
+        a, b = pointed[i], pointed[o]
+        return bisimilar(spec, a.model, a.world, b.model, b.world).related
 
+    inside = [k for k, n in enumerate(names) if n in wanted]
+    outside = [k for k, n in enumerate(names) if n not in wanted]
+    for i in inside:
+        for o in outside:
+            if related(i, o):
+                return DefinabilityResult("not_closed", witness=(names[i], names[o]))
+
+    ctx = part.ctx if part is not None else EvalContext(spec, models)
+    bits = [ctx.start_bit(k, pm.world) for k, pm in enumerate(pointed)]
+    in_bits = [bits[k] for k in inside]
+    out_bits = [bits[k] for k in outside]
     try:
         for phi, mask in stream_with_meanings(ctx, max_depth, budget):
             if all((mask >> b) & 1 for b in in_bits) and not any(
@@ -260,24 +279,11 @@ def definability_check(
     except BudgetExceededError:
         pass
 
-    if spec.has_negation:
-        try:
-            part = JointPartition(spec, models, max_depth=None, max_tests=budget)
-        except (BudgetExceededError, StateSpaceExceededError):
-            return DefinabilityResult("exhausted")
-        cell_of = {b: part.cell_index_of(b) for b in bits}
-        straddle = {cell_of[b] for b in in_bits} & {cell_of[b] for b in out_bits}
-        if straddle:
-            cell = straddle.pop()
-            in_name = next(n for n, b in zip(universe.names, bits) if cell_of[b] == cell and n in wanted)
-            out_name = next(
-                n for n, b in zip(universe.names, bits) if cell_of[b] == cell and n not in wanted
-            )
-            return DefinabilityResult("not_closed", witness=(in_name, out_name))
-        phi = disjoin([part.characteristic(b) for b in in_bits])
-        _verify_definer(spec, universe, wanted, phi)
-        return DefinabilityResult("defined", formula=phi)
-    return DefinabilityResult("exhausted")
+    if part is None:
+        return DefinabilityResult("exhausted")
+    phi = disjoin([part.characteristic(b) for b in in_bits])
+    _verify_definer(spec, universe, wanted, phi)
+    return DefinabilityResult("defined", formula=phi)
 
 
 def _verify_definer(spec, universe: Universe, wanted: set[str], phi: Formula) -> None:

@@ -111,7 +111,9 @@ def _cmd_bisim(args) -> int:
     print("not related")
     if not args.directed:
         phi = outcome.distinguisher
-        if phi is None:
+        if phi is None and args.depth <= 0:
+            # bisimilar skips its bounded search at depth 0; above that, a
+            # None distinguisher is that search's own answer
             phi = separating_formula(spec, left, w, right, v, depth=args.depth)
         if phi is not None:
             print(f"distinguisher: {print_formula(phi)}")

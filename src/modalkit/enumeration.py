@@ -23,7 +23,11 @@ Two engines share the context:
   unions (so refining by the image of each partition class captures every
   refinement any formula could make) and that the memory and jump operators
   are preimage maps on configurations that add no modal depth (so each wave
-  closes under them before the next wave of diamonds).
+  closes under them before the next wave of diamonds).  Each class keeps the
+  signed tests that split it off, in order; their conjunction is the class's
+  characteristic formula, and the entry where two classes' paths part is a
+  formula that separates them (the split-history construction of Cleaveland,
+  CAV 1990).
 
 ``separating_formula`` and ``equivalent_up_to`` route to the partition for
 dialects with memory or jump operators and to the relational fixpoint (whose
@@ -378,6 +382,13 @@ class JointPartition:
     bounded-depth formulas forming a boolean algebra, generated at each
     depth by the diamond images of the previous partition's classes (plus
     the depth-zero operators, which close within a wave).
+
+    ``tests`` lists the formulas that split some class, with their meanings,
+    in split order; ``paths`` maps each class to the signed tests (the test
+    where the class fell inside, its negation where it fell outside) on its
+    way down from the whole space.  The first test that tells two classes
+    apart is the one that split their last common ancestor, so both queries
+    below read a path instead of searching the tests.
     """
 
     def __init__(
@@ -396,9 +407,10 @@ class JointPartition:
         self.ctx = EvalContext(spec, models)
         self.tests: list[tuple[Formula, int]] = []
         self.cells: list[int] = [self.ctx.full] if self.ctx.full else []
+        # cell -> the signed tests that carved it out, in split order
+        self.paths: dict[int, tuple[Formula, ...]] = {cell: () for cell in self.cells}
         self.depth = 0
         self.saturated = False
-        self._chi_cache: dict[int, Formula] = {}
         self._run(max_depth, max_tests)
 
     # -- construction ----------------------------------------------------------
@@ -438,10 +450,9 @@ class JointPartition:
                 self.saturated = True
                 return
             self.depth += 1
-            self._chi_cache.clear()
             seeds = []
             for cell in list(self.cells):
-                chi = self._chi_for(cell)
+                chi = conjoin(self.paths[cell])
                 for r in ctx.rels:
                     for op, dual in (("diamond", "box"), ("ddiamond", "dbox")):
                         if self.spec.allows(op) or self.spec.allows(dual):
@@ -461,13 +472,15 @@ class JointPartition:
             outside = cell & ~mask
             if inside and outside:
                 new_cells.extend((inside, outside))
+                path = self.paths.pop(cell)
+                self.paths[inside] = (*path, phi)
+                self.paths[outside] = (*path, Not(phi))
                 split_any = True
             else:
                 new_cells.append(cell)
         if split_any:
             self.cells = sorted(new_cells, key=lambda c: c & -c)
             self.tests.append((phi, mask))
-            self._chi_cache.clear()
         return split_any
 
     # -- queries ---------------------------------------------------------------
@@ -478,35 +491,19 @@ class JointPartition:
                 return idx
         raise ValueError(f"bit {bit} outside the configuration space")
 
-    def _chi_for(self, cell: int) -> Formula:
-        if cell in self._chi_cache:
-            return self._chi_cache[cell]
-        parts = []
-        for other in self.cells:
-            if other == cell:
-                continue
-            for phi, mask in self.tests:
-                mine = bool(cell & mask)
-                if mine != bool(other & mask):
-                    parts.append(phi if mine else Not(phi))
-                    break
-        out = conjoin(parts)
-        self._chi_cache[cell] = out
-        return out
-
     def characteristic(self, bit: int) -> Formula:
-        """A formula true exactly on the bit's meaning class."""
-        return self._chi_for(self.cells[self.cell_index_of(bit)])
+        """A formula true exactly on the bit's meaning class: the conjunction
+        of the signed tests on its split path."""
+        return conjoin(self.paths[self.cells[self.cell_index_of(bit)]])
 
     def separator_between(self, bit_true: int, bit_false: int) -> Formula | None:
         """A minimal-wave formula true at the first configuration and false
-        at the second, or None if they share a class."""
-        for phi, mask in self.tests:
-            a = (mask >> bit_true) & 1
-            b = (mask >> bit_false) & 1
-            if a != b:
-                return phi if a else Not(phi)
-        return None
+        at the second, or None if they share a class: the entry of the first
+        configuration's split path where the two paths part."""
+        mine = self.paths[self.cells[self.cell_index_of(bit_true)]]
+        theirs = self.paths[self.cells[self.cell_index_of(bit_false)]]
+        # paths share their common prefix object for object
+        return next((a for a, b in zip(mine, theirs) if a is not b), None)
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,6 @@ def bisimilar(
     right: KripkeModel,
     v: str,
     *,
-    conditions: SimConditions | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     distinguisher_depth: int = 4,
 ) -> SimulationOutcome:
@@ -317,8 +316,7 @@ def bisimilar(
     ``distinguisher_depth`` caps the bounded search used to synthesize a
     separating formula for memory dialects; pass 0 to skip that search.
     """
-    conds = conditions if conditions is not None else conditions_for(spec)
-    return _solve(spec, conds, left, w, right, v, max_pairs, distinguisher_depth)
+    return _solve(spec, conditions_for(spec), left, w, right, v, max_pairs, distinguisher_depth)
 
 
 def simulated_by(
@@ -328,15 +326,12 @@ def simulated_by(
     right: KripkeModel,
     v: str,
     *,
-    conditions: SimConditions | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     distinguisher_depth: int = 4,
 ) -> SimulationOutcome:
     """Is the left pointed model simulated by the right one (directed
     conditions: no back-type clauses, one-directional atomic agreement)?"""
-    conds = directed_conditions(
-        conditions if conditions is not None else conditions_for(spec)
-    )
+    conds = directed_conditions(conditions_for(spec))
     return _solve(spec, conds, left, w, right, v, max_pairs, distinguisher_depth)
 
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .configs import Config, PairSpace, initial_pair
 from .errors import IllegalMoveError, StateSpaceExceededError
-from .equivalence import SimConditions, conditions_for
+from .equivalence import conditions_for
 from .kripke import KripkeModel
 from .syntax import LogicSpec
 
@@ -92,18 +92,11 @@ class GameResult:
 class Game:
     """The comparison game for one dialect over a fixed pair of models."""
 
-    def __init__(
-        self,
-        spec: LogicSpec,
-        left: KripkeModel,
-        right: KripkeModel,
-        *,
-        conditions: SimConditions | None = None,
-    ):
+    def __init__(self, spec: LogicSpec, left: KripkeModel, right: KripkeModel):
         self.spec = spec
         self.left = left
         self.right = right
-        self.conds = conditions if conditions is not None else conditions_for(spec)
+        self.conds = conditions_for(spec)
         self._space = PairSpace(self.conds, left, right)
 
     def initial(self, w: str, v: str, *, rounds: int | None = None) -> GameState:
@@ -116,17 +109,20 @@ class Game:
 
     def winner_at(self, state: GameState) -> str | None:
         """The winner if the state is terminal, else None."""
+        return self._visit(state)[0]
+
+    def _visit(self, state: GameState) -> tuple[str | None, list[Move]]:
+        """winner_at and the legal moves, computed once; the moves are empty
+        at a terminal state."""
         if state.turn == "spoiler":
             if self._space.static_violation((state.left, state.right)) is not None:
-                return "spoiler"
+                return "spoiler", []
             if state.rounds_left is not None and state.rounds_left <= 0:
-                return "duplicator"
-            if not self.legal_moves(state):
-                return "duplicator"
-        else:
-            if not self.legal_moves(state):
-                return "spoiler"
-        return None
+                return "duplicator", []
+        moves = self.legal_moves(state)
+        if not moves:
+            return ("duplicator" if state.turn == "spoiler" else "spoiler"), moves
+        return None, moves
 
     def legal_moves(self, state: GameState) -> list[Move]:
         space = self._space
@@ -149,11 +145,7 @@ class Game:
         ]
 
     def apply(self, state: GameState, move: Move) -> GameState:
-        if self.winner_at(state) is not None:
-            raise IllegalMoveError(0, "the game is already over at this position")
-        if move not in self.legal_moves(state):
-            raise IllegalMoveError(0, f"{move.render()} is not available here")
-        return self._apply_unchecked(state, move)
+        return self.replay(state, [move])[-1]
 
     def _apply_unchecked(self, state: GameState, move: Move) -> GameState:
         pair = (state.left, state.right)
@@ -181,12 +173,12 @@ class Game:
         seen = {state}
         while stack:
             s = stack.pop()
-            res = self.winner_at(s)
+            res, legal = self._visit(s)
             if res is not None:
                 terminal[s] = res
                 continue
             outs = []
-            for m in self.legal_moves(s):
+            for m in legal:
                 t = self._apply_unchecked(s, m)
                 outs.append((m, t))
                 if t not in seen:
@@ -240,10 +232,10 @@ class Game:
                 return value[s]
             if len(value) >= max_positions:
                 raise StateSpaceExceededError(max_positions)
-            res = self.winner_at(s)
+            res, legal = self._visit(s)
             if res is None:
                 res = "duplicator" if s.turn == "spoiler" else "spoiler"
-                for m in self.legal_moves(s):
+                for m in legal:
                     if val(self._apply_unchecked(s, m)) == s.turn:
                         res = s.turn
                         best[s] = m
@@ -265,9 +257,10 @@ class Game:
         out = [state]
         cur = state
         for idx, move in enumerate(moves):
-            if self.winner_at(cur) is not None:
+            res, legal = self._visit(cur)
+            if res is not None:
                 raise IllegalMoveError(idx, "the game is already over at this position")
-            if move not in self.legal_moves(cur):
+            if move not in legal:
                 raise IllegalMoveError(idx, f"{move.render()} is not available here")
             cur = self._apply_unchecked(cur, move)
             out.append(cur)
@@ -281,14 +274,10 @@ class Game:
         moves: list[Move] = []
         cur = state
         for _ in range(max_plies):
-            if self.winner_at(cur) is not None:
+            res, legal = self._visit(cur)
+            if res is not None:
                 break
-            move = result.strategy.get(cur)
-            if move is None:
-                legal = self.legal_moves(cur)
-                if not legal:
-                    break
-                move = legal[0]
+            move = result.strategy.get(cur, legal[0])
             moves.append(move)
             cur = self._apply_unchecked(cur, move)
         return moves
@@ -306,11 +295,10 @@ def solve_game(
     v: str,
     *,
     rounds: int | None = None,
-    conditions: SimConditions | None = None,
     max_positions: int = 200_000,
 ) -> GameResult:
     """Winner and strategy of the comparison game from the given points."""
-    game = Game(spec, left, right, conditions=conditions)
+    game = Game(spec, left, right)
     return game.solve(game.initial(w, v, rounds=rounds), max_positions=max_positions)
 
 

@@ -16,6 +16,10 @@ The surface grammar (ASCII) is:
 IDENT is [a-zA-Z][a-zA-Z0-9_]*; a bare IDENT is a proposition, 'IDENT is a
 nominal.  '#' starts a comment that runs to end of line.  Unary operators bind
 tightest, then '&', '|', '->', '<->'.
+
+On any path from the whole formula down to an atom, every operator and every
+pair of parentheses is one level ('p & p & p' has two); deeper nesting than
+MAX_FORMULA_DEPTH is a ParseError, so recursive consumers stay in bounds.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ OPERATORS = frozenset(
 MEMORY_OPERATORS = frozenset({"known", "remember", "forget", "erase", "ddiamond", "dbox"})
 
 RESERVED_WORDS = frozenset({"true", "false", "rem", "forg", "erase", "known"})
+
+MAX_FORMULA_DEPTH = 100
 
 _IDENT_HEAD = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _IDENT_TAIL = _IDENT_HEAD | set("0123456789_")
@@ -405,12 +411,19 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# opening modal bracket -> (closing bracket, node)
+_BRACKETS = {"<": (">", Diamond), "[": ("]", Box), "<<": (">>", DDiamond), "[[": ("]]", DBox)}
+_MEMORY_PREFIXES = {"rem": Remember, "forg": Forget, "erase": Erase}
+_CONSTANTS = {"true": Top, "false": Bottom, "known": Known}
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], sig: Signature, spec: LogicSpec):
+    """Recursive descent; every rule returns (formula, nesting levels)."""
+
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.sig = sig
-        self.spec = spec
+        self.level = 0  # levels open above the rule being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -420,123 +433,105 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_sym(self, sym: str) -> _Token:
+    def accept(self, sym: str) -> _Token | None:
         tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
-            raise ParseError(tok.pos, repr(sym))
-        return self.take()
+        return self.take() if tok.kind == "sym" and tok.text == sym else None
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect_sym(self, sym: str) -> _Token:
+        tok = self.accept(sym)
+        if tok is None:
+            raise ParseError(self.peek().pos, repr(sym))
+        return tok
+
+    def expect_ident(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "ident":
             raise ParseError(tok.pos, what)
-        return self.take()
+        return self.take().text
+
+    def levels(self, tok: _Token, height: int) -> int:
+        if height > MAX_FORMULA_DEPTH:
+            raise ParseError(tok.pos, f"at most {MAX_FORMULA_DEPTH} levels of nesting")
+        return height
+
+    def below(self, tok: _Token, rule) -> tuple[Formula, int]:
+        """Parse rule one level below the operator or parenthesis at tok."""
+        self.level = self.levels(tok, self.level + 1)
+        phi, height = rule()
+        self.level -= 1
+        return phi, self.levels(tok, height + 1)
+
+    def binary(self, tok: _Token, cls, left, rule) -> tuple[Formula, int]:
+        (a, ha), (b, hb) = left, self.below(tok, rule)
+        return cls(a, b), self.levels(tok, max(ha + 1, hb))
+
+    def prefix(self, tok: _Token, cls, *args) -> tuple[Formula, int]:
+        sub, height = self.below(tok, self.unary)
+        return cls(*args, sub), height
 
     def parse(self) -> Formula:
-        phi = self.iff()
+        phi, _ = self.iff()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(tok.pos, "end of input")
         return phi
 
-    def iff(self) -> Formula:
+    def iff(self) -> tuple[Formula, int]:
         left = self.impl()
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
+        tok = self.accept("<->")
+        return self.binary(tok, Iff, left, self.iff) if tok else left
 
-    def impl(self) -> Formula:
+    def impl(self) -> tuple[Formula, int]:
         left = self.or_()
+        tok = self.accept("->")
+        return self.binary(tok, Implies, left, self.impl) if tok else left
+
+    def or_(self) -> tuple[Formula, int]:
+        out = self.and_()
+        while tok := self.accept("|"):
+            out = self.binary(tok, Or, out, self.and_)
+        return out
+
+    def and_(self) -> tuple[Formula, int]:
+        out = self.unary()
+        while tok := self.accept("&"):
+            out = self.binary(tok, And, out, self.unary)
+        return out
+
+    def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "->":
+        if tok.kind == "sym" and tok.text in _BRACKETS:
             self.take()
-            return Implies(left, self.impl())
-        return left
-
-    def or_(self) -> Formula:
-        phi = self.and_()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "|":
-                self.take()
-                phi = Or(phi, self.and_())
-            else:
-                return phi
-
-    def and_(self) -> Formula:
-        phi = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "&":
-                self.take()
-                phi = And(phi, self.unary())
-            else:
-                return phi
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "sym":
-            if tok.text == "~":
-                self.take()
-                return Not(self.unary())
-            if tok.text == "<":
-                self.take()
-                rel = self.expect_ident("a relation name").text
-                self.expect_sym(">")
-                return Diamond(rel, self.unary())
-            if tok.text == "[":
-                self.take()
-                rel = self.expect_ident("a relation name").text
-                self.expect_sym("]")
-                return Box(rel, self.unary())
-            if tok.text == "<<":
-                self.take()
-                rel = self.expect_ident("a relation name").text
-                self.expect_sym(">>")
-                return DDiamond(rel, self.unary())
-            if tok.text == "[[":
-                self.take()
-                rel = self.expect_ident("a relation name").text
-                self.expect_sym("]]")
-                return DBox(rel, self.unary())
-            if tok.text == "@":
-                self.take()
-                nom = self.expect_ident("a nominal name").text
-                return At(nom, self.unary())
-        if tok.kind == "ident" and tok.text in ("rem", "forg", "erase"):
+            rel = self.expect_ident("a relation name")
+            close, cls = _BRACKETS[tok.text]
+            self.expect_sym(close)
+            return self.prefix(tok, cls, rel)
+        if self.accept("~"):
+            return self.prefix(tok, Not)
+        if self.accept("@"):
+            return self.prefix(tok, At, self.expect_ident("a nominal name"))
+        if tok.kind == "ident" and tok.text in _MEMORY_PREFIXES:
             self.take()
-            cls = {"rem": Remember, "forg": Forget, "erase": Erase}[tok.text]
-            return cls(self.unary())
+            return self.prefix(tok, _MEMORY_PREFIXES[tok.text])
         return self.atom()
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "(":
-            self.take()
-            phi = self.iff()
+        if self.accept("("):
+            out = self.below(tok, self.iff)
             self.expect_sym(")")
-            return phi
-        if tok.kind == "sym" and tok.text == "'":
-            self.take()
-            name = self.expect_ident("a nominal name").text
-            return Nom(name)
+            return out
+        if self.accept("'"):
+            return Nom(self.expect_ident("a nominal name")), 0
         if tok.kind == "ident":
             self.take()
-            if tok.text == "true":
-                return Top()
-            if tok.text == "false":
-                return Bottom()
-            if tok.text == "known":
-                return Known()
-            return Prop(tok.text)
+            return _CONSTANTS[tok.text]() if tok.text in _CONSTANTS else Prop(tok.text), 0
         raise ParseError(tok.pos, "a formula")
 
 
 def parse_formula(text: str, sig: Signature, spec: LogicSpec) -> Formula:
     """Parse and validate a formula against the signature and dialect."""
-    phi = _Parser(_tokenize(text), sig, spec).parse()
+    phi = _Parser(_tokenize(text)).parse()
     validate_formula(phi, sig, spec)
     return phi
 

@@ -65,6 +65,16 @@ def sig_for(spec: LogicSpec) -> Signature:
     return SIG_NOM if spec.allows("nominal") else SIG
 
 
+# shape -> formula text over SIG nested n levels deep
+NESTED = {
+    "negation": lambda n: "~" * n + "true",
+    "diamond": lambda n: "<r>" * n + "true",
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "conjunction chain": lambda n: " & ".join(["p"] * (n + 1)),
+    "implication chain": lambda n: " -> ".join(["p"] * (n + 1)),
+}
+
+
 @pytest.fixture(params=ALL_DIALECTS)
 def spec(request) -> LogicSpec:
     """Parametrizes a test over every named dialect."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import SIG, fixture_model, models
+from modalkit import analysis
 from modalkit.analysis import (
     DefinabilityResult,
     Universe,
@@ -23,6 +24,7 @@ from modalkit.analysis import (
 from modalkit.equivalence import bisimilar
 from modalkit.errors import (
     BudgetExceededError,
+    InvariantViolationError,
     ModelFormatError,
     UnknownNameError,
     UnsupportedFeaturesError,
@@ -201,6 +203,51 @@ def test_definability_memory_dialect():
     assert out.status == "defined"
     assert check(refl, a, out.formula)
     assert not check(cyc, b, out.formula)
+
+
+def test_definability_reads_closure_from_the_partition(monkeypatch):
+    calls = []
+    real = analysis.bisimilar
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "bisimilar", counted)
+    refl, a = fixture_model("reflexive.km")
+    cyc, b = fixture_model("two_cycle.km")
+    universe = _universe(
+        refl=PointedModel(refl, a), cyc=PointedModel(cyc, b), lit=PointedModel(LIT, "a")
+    )
+    blocked = DefinabilityResult("not_closed", witness=("cyc", "refl"))
+    assert definability_check(BML, universe, {"cyc"}) == blocked
+    assert definability_check(BML, universe, {"cyc", "lit"}) == blocked
+    assert definability_check(ML, universe, {"cyc"}).status == "defined"
+    # the first member inside with a partner outside, then its first partner
+    lit, unlit = PointedModel(LIT, "a"), PointedModel(UNLIT, "a")
+    crossed = _universe(a=lit, b=unlit, c=unlit, d=lit)
+    assert definability_check(BML, crossed, {"a", "c"}).witness == ("a", "d")
+    assert calls == []
+    # a partition over its budget falls back to the pairwise relation
+    assert definability_check(BML, universe, {"cyc"}, budget=1) == blocked
+    assert calls
+    # the negation-free notion is directed: always asked pair by pair
+    calls.clear()
+    definability_check(BML_MINUS, TWO, {"unlit"})
+    assert len(calls) == 1
+
+
+def test_definability_mixed_nominals():
+    """Without a common set of nominals there is no partition; a crossing
+    pair that bisimilar can compare is still a witness, and a pair it cannot
+    compare raises."""
+    plain = PointedModel(KripkeModel(("a",), {"r": frozenset()}), "a")
+    named = PointedModel(KripkeModel(("a",), {"r": frozenset()}, noms={"i": "a"}), "a")
+    universe = _universe(a_plain=plain, b_plain=plain, c_named=named)
+    out = definability_check(DIALECTS["hl"], universe, {"a_plain"})
+    assert out == DefinabilityResult("not_closed", witness=("a_plain", "b_plain"))
+    with pytest.raises(InvariantViolationError):
+        definability_check(DIALECTS["hl"], universe, {"c_named"})
 
 
 def test_definability_unknown_member():

@@ -10,11 +10,11 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
-from modalkit import cli
+from conftest import FIXTURES, NESTED
+from modalkit import cli, enumeration
 from modalkit import semantics
 from modalkit.kripke import GenParams, random_model, save_model
-from modalkit.syntax import Signature
+from modalkit.syntax import MAX_FORMULA_DEPTH, Signature
 
 REFL = str(FIXTURES / "reflexive.km")
 CYC = str(FIXTURES / "two_cycle.km")
@@ -77,6 +77,28 @@ def test_bisim_unrelated_prints_a_distinguisher(capsys):
     code, out, _ = run(capsys, "bisim", REFL, CYC, "-d", "ml-diamond", "--depth", "0")
     assert code == 1
     assert out.splitlines()[1] == "no distinguisher found within depth 0"
+
+
+def test_bisim_searches_for_a_distinguisher_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["depth"])
+        return real(*args, **kwargs)
+
+    real = enumeration.separating_formula
+    monkeypatch.setattr(enumeration, "separating_formula", counted)
+    monkeypatch.setattr(cli, "separating_formula", counted)
+    # rem <r>~known separates the two at depth 1 and nothing does at depth 0
+    code, out, _ = run(capsys, "bisim", REFL, CYC, "-d", "ml-diamond", "--depth", "1")
+    assert (code, out.splitlines()[0], calls) == (1, "not related", [1])
+    calls.clear()
+    code, out, _ = run(capsys, "bisim", FOUR, CYC, "-d", "ml-diamond", "--depth", "0")
+    assert (code, out.splitlines()[1], calls) == (1, "no distinguisher found within depth 0", [0])
+    # the memory dialect's own search found nothing at depth 1: not repeated
+    calls.clear()
+    code, out, _ = run(capsys, "bisim", FOUR, CYC, "-d", "ml-diamond", "--depth", "1")
+    assert (code, out.splitlines()[1], calls) == (1, "no distinguisher found within depth 1", [1])
 
 
 def test_bisim_directed(capsys):
@@ -245,6 +267,20 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "bisim", REFL, CYC, "--left-world", "zz")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deep_formulas(capsys, shape):
+    text = NESTED[shape](MAX_FORMULA_DEPTH)
+    code, out, _ = run(capsys, "check", "-m", REFL, "-f", text)
+    assert code in (0, 1) and out in ("true\n", "false\n")
+    code, out, _ = run(capsys, "translate", "-f", text)
+    assert code == 0 and out.startswith("(")
+    for n in (MAX_FORMULA_DEPTH + 1, 3000):
+        for argv in (("check", "-m", REFL), ("translate",)):
+            code, out, err = run(capsys, *argv, "-f", NESTED[shape](n))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: parse error") and "levels of nesting" in err
 
 
 def test_argparse_rejections():

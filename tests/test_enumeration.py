@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIG, fixture_model, models
+from conftest import SIG, fixture_model, models, sig_for
 from modalkit import enumeration
 from modalkit.enumeration import (
     EvalContext,
@@ -27,7 +27,7 @@ from modalkit.enumeration import (
     separating_formula,
     stream_with_meanings,
 )
-from modalkit.equivalence import bml_partition_refinement
+from modalkit.equivalence import bisimilar, bml_partition_refinement
 from modalkit.errors import (
     BudgetExceededError,
     InvariantViolationError,
@@ -45,6 +45,7 @@ from modalkit.syntax import (
     Prop,
     Remember,
     Top,
+    conjoin,
     modal_depth,
     print_formula,
     validate_formula,
@@ -281,6 +282,62 @@ def test_partition_matches_refinement_oracle(model):
     for b in range(len(part.ctx.configs)):
         chi = part.characteristic(b)
         assert part.ctx.meaning(chi) == part.cells[part.cell_index_of(b)]
+
+
+def _pairwise_characteristic(part, bit):
+    """Reference construction: for every other cell, the first test in
+    split order that tells it apart from the bit's cell, signed."""
+    cell = part.cells[part.cell_index_of(bit)]
+    parts = []
+    for other in part.cells:
+        if other == cell:
+            continue
+        for phi, mask in part.tests:
+            mine = bool(cell & mask)
+            if mine != bool(other & mask):
+                parts.append(phi if mine else Not(phi))
+                break
+    return conjoin(parts)
+
+
+def _pairwise_separator(part, bit_true, bit_false):
+    """Reference construction: the first test in split order that holds at
+    exactly one of the two bits, signed to hold at the first."""
+    for phi, mask in part.tests:
+        a, b = (mask >> bit_true) & 1, (mask >> bit_false) & 1
+        if a != b:
+            return phi if a else Not(phi)
+    return None
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["bml", "ml-diamond"]), st.data())
+def test_split_paths_match_pairwise_construction(dialect, data):
+    spec = DIALECTS[dialect]
+    mods = [data.draw(models(sig=SIG, max_worlds=3)) for _ in range(2)]
+    depth = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    part = JointPartition(spec, mods, max_depth=depth)
+    bits = range(len(part.ctx.configs))
+    for a in bits:
+        assert part.characteristic(a) == _pairwise_characteristic(part, a)
+    for a in bits:
+        for b in bits:
+            assert part.separator_between(a, b) == _pairwise_separator(part, a, b)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(sorted(n for n, s in DIALECTS.items() if s.has_negation)), st.data())
+def test_same_cell_iff_bisimilar(dialect, data):
+    spec = DIALECTS[dialect]
+    left = data.draw(models(sig=sig_for(spec), max_worlds=3, allow_mem=True))
+    right = data.draw(models(sig=sig_for(spec), max_worlds=3, allow_mem=True))
+    part = JointPartition(spec, [left, right])
+    for w in left.worlds:
+        for v in right.worlds:
+            same = part.cell_index_of(part.ctx.start_bit(0, w)) == part.cell_index_of(
+                part.ctx.start_bit(1, v)
+            )
+            assert same == bisimilar(spec, left, w, right, v, distinguisher_depth=0).related
 
 
 # ---------------------------------------------------------------------------

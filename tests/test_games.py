@@ -26,8 +26,8 @@ from modalkit.games import (
     format_transcript,
     solve_game,
 )
-from modalkit.kripke import KripkeModel
-from modalkit.syntax import DIALECTS
+from modalkit.kripke import GenParams, KripkeModel, random_model
+from modalkit.syntax import DIALECTS, Signature
 
 BML = DIALECTS["bml"]
 BML_MINUS = DIALECTS["bml-minus"]
@@ -158,6 +158,24 @@ def test_position_caps():
 
 # ---------------------------------------------------------------------------
 # Scripted play
+
+
+def test_solving_computes_legal_moves_once_per_position(monkeypatch):
+    model = random_model(GenParams(12, 0.2, 0.5, 7, Signature(props=("p",), rels=("r",))))
+    seen = []
+    real = Game.legal_moves
+
+    def counted(self, state):
+        seen.append(state)
+        return real(self, state)
+
+    monkeypatch.setattr(Game, "legal_moves", counted)
+    game = Game(BML, model, model)
+    start = game.initial(model.worlds[0], model.worlds[0])
+    assert game.solve(start).winner == "duplicator"
+    # every explored position is asked at most once
+    assert len(seen) > 100
+    assert len(seen) == len(set(seen))
 
 
 def test_replay_validates_moves():

@@ -3,9 +3,10 @@
 For each dialect and fixture pair this pins the printed verdict of
 ``bisimilar`` (witness or distinguisher), the depth-4 ``separating_formula``,
 Spoiler's opening moves and the transcript of the unbounded game's sample
-play.  A refactor of the fixpoint, the game or the evaluation context must
-leave every string unchanged; the expected texts live in
-``golden/outputs.json``.
+play.  For each dialect it also pins ``definability_check`` on a fixed
+seeded universe for three member sets.  A refactor of the fixpoint, the
+game, the evaluation context or the meaning partition must leave every
+string unchanged; the expected texts live in ``golden/outputs.json``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from modalkit.analysis import Universe, definability_check
 from modalkit.enumeration import separating_formula
 from modalkit.equivalence import bisimilar, serialize_witness
 from modalkit.games import Game, format_transcript
-from modalkit.kripke import load_model
-from modalkit.syntax import DIALECTS, print_formula
+from modalkit.kripke import GenParams, PointedModel, SplitMix64, load_model, random_model
+from modalkit.syntax import DIALECTS, Signature, print_formula
 
 from conftest import FIXTURES
 
@@ -72,3 +74,42 @@ CASES = [(d, a, b) for d in sorted(DIALECTS) for a, b in PAIRS]
 @pytest.mark.parametrize("dialect,left_name,right_name", CASES)
 def test_outputs_unchanged(dialect, left_name, right_name):
     assert render_case(dialect, left_name, right_name) == GOLDEN[f"{dialect}:{left_name}:{right_name}"]
+
+
+def definability_universe(spec) -> Universe:
+    """Twelve seeded pointed models of one to three worlds over p and r; in
+    nominal dialects every model also names its first world i."""
+    sig = Signature(props=("p",), rels=("r",), noms=("i",) if spec.allows("nominal") else ())
+    rng = SplitMix64(2026)
+    members = []
+    for _ in range(12):
+        model = random_model(GenParams(1 + rng.next_below(3), 0.4, 0.5, rng.next_u64(), sig))
+        members.append(PointedModel(model, model.worlds[rng.next_below(len(model.worlds))]))
+    return Universe(tuple(f"m{k:02d}" for k in range(len(members))), tuple(members))
+
+
+def render_definability(dialect: str) -> dict[str, str]:
+    spec = DIALECTS[dialect]
+    universe = definability_universe(spec)
+    pairs = list(zip(universe.names, universe.members))
+    coin = SplitMix64(7)
+    member_sets = {
+        "p-class": {n for n, pm in pairs if pm.world in pm.model.val["p"]},
+        "irreflexive": {n for n, pm in pairs if (pm.world, pm.world) not in pm.model.rels["r"]},
+        "coin": {n for n, _ in pairs if coin.next_below(2)},
+    }
+    out = {}
+    for label, wanted in member_sets.items():
+        result = definability_check(spec, universe, wanted)
+        if result.status == "defined":
+            out[label] = "defined: " + print_formula(result.formula)
+        elif result.status == "not_closed":
+            out[label] = "not closed: {} is related to {}".format(*result.witness)
+        else:
+            out[label] = result.status
+    return out
+
+
+@pytest.mark.parametrize("dialect", sorted(DIALECTS))
+def test_definability_unchanged(dialect):
+    assert render_definability(dialect) == GOLDEN[f"define:{dialect}"]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import SIG, SIG_NOM, formulas, sig_for
+from conftest import NESTED, SIG, SIG_NOM, formulas, sig_for
 from modalkit.errors import (
     InvariantViolationError,
     OperatorNotInDialectError,
@@ -12,6 +12,7 @@ from modalkit.errors import (
 )
 from modalkit.syntax import (
     DIALECTS,
+    MAX_FORMULA_DEPTH,
     OPERATORS,
     And,
     At,
@@ -165,6 +166,26 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_formula("p & & q", SIG, DIALECTS["bml"])
     assert "4" in str(exc.value)  # the offending column
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_limit(shape):
+    make = NESTED[shape]
+    phi = parse_formula(make(MAX_FORMULA_DEPTH), SIG, DIALECTS["bml"])
+    assert parse_formula(print_formula(phi), SIG, DIALECTS["bml"]) == phi
+    for n in (MAX_FORMULA_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match="levels of nesting"):
+            parse_formula(make(n), SIG, DIALECTS["bml"])
+
+
+def test_nesting_counts_every_path():
+    # each part alone fits; the chain puts the deep negation one level lower
+    deep = "~" * MAX_FORMULA_DEPTH + "p"
+    parse_formula(deep, SIG, DIALECTS["bml"])
+    with pytest.raises(ParseError):
+        parse_formula(deep + " & q", SIG, DIALECTS["bml"])
+    with pytest.raises(ParseError):
+        parse_formula("q | (" + deep[1:] + ")", SIG, DIALECTS["bml"])
 
 
 def test_unknown_names():
