@@ -17,8 +17,8 @@ place that says how a configuration changes:
 ``PairSpace`` applies these to configuration pairs over two models under one
 condition set (see ``equivalence.SimConditions``); the fixpoint, the game
 and ``verify_relation`` all read the static check, the closure images and
-the modal moves from it.  ``EvalContext`` applies the same updates to single
-configurations through ``close``.
+the modal moves from it.  ``EvalContext`` compiles the same updates, through
+``close`` and ``step_memory``, into its per-operator predecessor tables.
 """
 
 from __future__ import annotations
@@ -146,14 +146,13 @@ class PairSpace:
         """The first atomic disagreement of the pair, or None."""
         c1, c2 = pair
         one_way = self.conds.atomic_one_directional
-        if self.conds.agree:
-            for p in self.props:
-                a = c1.world in self.left.val.get(p, frozenset())
-                b = c2.world in self.right.val.get(p, frozenset())
-                if a and not b:
-                    return ("agree", p, "left")
-                if b and not a and not one_way:
-                    return ("agree", p, "right")
+        for p in self.props:
+            a = c1.world in self.left.val.get(p, frozenset())
+            b = c2.world in self.right.val.get(p, frozenset())
+            if a and not b:
+                return ("agree", p, "left")
+            if b and not a and not one_way:
+                return ("agree", p, "right")
         if self.conds.kagree:
             a = c1.world in c1.mem
             b = c2.world in c2.mem

@@ -6,6 +6,15 @@ the meaning of a formula in the context is a single integer bitmask.  Two
 formulas with the same bitmask are indistinguishable by any of the context's
 models, which makes deduplication exact rather than heuristic.
 
+Each operator that moves a configuration (a diamond or double diamond along
+a relation, remember, forget, erase, a jump ``@i``) is compiled on first use
+into one predecessor table: entry t is the mask of the configurations that
+one application of the operator moves to t.  The operator's meaning is the
+preimage of its argument, the union of the entries at the argument's bits
+(the bottom-up labelling of Clarke, Emerson & Sistla, TOPLAS 1986); a box is
+the dual of its diamond.  The context lists its atoms and its depth-0
+updates (negation, then the closures) once, and both engines read them.
+
 Two engines share the context:
 
 - ``enumerate_formulas`` produces the canonical stream: formulas grouped by
@@ -39,7 +48,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from .configs import close, closure_formula, closures, step_memory
 from .equivalence import conditions_for, fixpoint_separator
@@ -81,6 +92,9 @@ from .syntax import (
 
 MEMORY_CHANGING = frozenset({"remember", "forget", "erase", "ddiamond", "dbox"})
 
+# Each box is evaluated as the dual of its diamond.
+_DIAMOND_OF = {"box": "diamond", "dbox": "ddiamond"}
+
 MAX_CONFIGS = 2**20
 
 
@@ -102,6 +116,12 @@ class EvalContext:
     (memory subset, world) configuration of each model; otherwise each model
     contributes only its own fixed memory.  Nominal-aware dialects require
     all models to assign exactly the same nominal names.
+
+    ``atoms`` lists (formula, meaning) for the propositions, then ``known``,
+    then the nominals, as the dialect allows; ``updates`` lists (formula
+    builder, mask transform) for negation, then the closure updates in
+    ``configs.closures`` order.  ``pre`` is the one preimage routine behind
+    every operator.
     """
 
     def __init__(self, spec: LogicSpec, models: list[KripkeModel] | tuple[KripkeModel, ...]):
@@ -145,17 +165,17 @@ class EvalContext:
             i: self._mask_of(lambda k, mem, w, i=i: self.models[k].noms.get(i) == w)
             for i in self.noms
         }
-        # (rel, traced) -> per configuration, the mask of its successors
-        self.succ_mask: dict[tuple[str, bool], list[int]] = {}
-        for r in self.rels:
-            for traced in (False, True) if self.memory_table else (False,):
-                masks = []
-                for k, mem, w in self.configs:
-                    after = step_memory(mem, w, traced)
-                    succ = self.models[k].successors(r, w)
-                    masks.append(sum(1 << self.index[(k, after, w2)] for w2 in succ))
-                self.succ_mask[(r, traced)] = masks
-        self._closure_maps: dict[tuple[str, str | None], list[int]] = {}
+        self.atoms: list[tuple[Formula, int]] = [(Prop(p), self.prop_mask[p]) for p in self.props]
+        if spec.allows("known"):
+            self.atoms.append((Known(), self.known_mask))
+        if spec.allows("nominal"):
+            self.atoms.extend((Nom(i), self.nom_mask[i]) for i in self.noms)
+        self.updates: list[tuple[Callable[[Formula], Formula], Callable[[int], int]]] = []
+        if spec.has_negation:
+            self.updates.append((Not, self.not_t))
+        for op in closures(conditions_for(spec), self.noms):
+            self.updates.append((partial(closure_formula, *op), partial(self.pre, op)))
+        self._tables: dict[tuple[str, str | None], list[int]] = {}
 
     def _mask_of(self, pred) -> int:
         out = 0
@@ -174,38 +194,48 @@ class EvalContext:
 
     # -- mask transforms ------------------------------------------------------
 
+    def _table(self, op: tuple[str, str | None]) -> list[int]:
+        """The operator's predecessor table, built on first use: entry t is
+        the mask of the configurations one application of op moves to t.
+        op is ("diamond" | "ddiamond", rel), ("remember" | "forget" |
+        "erase", None) or ("nom", i)."""
+        table = self._tables.get(op)
+        if table is None:
+            kind, arg = op
+            table = [0] * len(self.configs)
+            for b, (k, mem, w) in enumerate(self.configs):
+                model = self.models[k]
+                if kind in ("diamond", "ddiamond"):
+                    after = step_memory(mem, w, kind == "ddiamond")
+                    targets = [(after, v) for v in model.successors(arg, w)]
+                else:
+                    targets = [close(kind, arg, model, mem, w)]
+                for target in targets:
+                    table[self.index[(k, *target)]] |= 1 << b
+            self._tables[op] = table
+        return table
+
+    def pre(self, op: tuple[str, str | None], m: int) -> int:
+        """The configurations that op moves into m: the meaning of op's
+        diamond or closure operator applied to a formula meaning m."""
+        table = self._table(op)
+        out = 0
+        bits = bin(m)[:1:-1]  # least significant bit first
+        t = bits.find("1")
+        while t >= 0:
+            out |= table[t]
+            t = bits.find("1", t + 1)
+        return out
+
     def not_t(self, m: int) -> int:
         return self.full & ~m
 
     def modal_t(self, operator: str, rel: str, m: int) -> int:
         """The meaning of operator (diamond, box, ddiamond, dbox) along rel
         applied to a formula meaning m; the boxes are the dual diamonds."""
-        traced = operator in ("ddiamond", "dbox")
-        if operator in ("box", "dbox"):
-            return self.not_t(self._preimage(rel, traced, self.not_t(m)))
-        return self._preimage(rel, traced, m)
-
-    def _preimage(self, rel: str, traced: bool, m: int) -> int:
-        out = 0
-        for b, succ in enumerate(self.succ_mask.get((rel, traced), ())):
-            if succ & m:
-                out |= 1 << b
-        return out
-
-    def closure_t(self, kind: str, nominal: str | None, m: int) -> int:
-        """The meaning of the closure update's operator applied to m."""
-        mapping = self._closure_maps.get((kind, nominal))
-        if mapping is None:
-            mapping = [
-                self.index[(k, *close(kind, nominal, self.models[k], mem, w))]
-                for k, mem, w in self.configs
-            ]
-            self._closure_maps[(kind, nominal)] = mapping
-        out = 0
-        for b, img in enumerate(mapping):
-            if (m >> img) & 1:
-                out |= 1 << b
-        return out
+        if operator in _DIAMOND_OF:
+            return self.not_t(self.pre((_DIAMOND_OF[operator], rel), self.not_t(m)))
+        return self.pre((operator, rel), m)
 
     # -- full evaluator --------------------------------------------------------
 
@@ -232,83 +262,34 @@ class EvalContext:
                 return self.not_t(self.meaning(a)) | self.meaning(b)
             case Iff(a, b):
                 return self.not_t(self.meaning(a) ^ self.meaning(b))
-            case Diamond(rel, sub):
-                return self.modal_t("diamond", rel, self.meaning(sub))
-            case Box(rel, sub):
-                return self.modal_t("box", rel, self.meaning(sub))
-            case DDiamond(rel, sub):
-                self._require_memory_table(phi)
-                return self.modal_t("ddiamond", rel, self.meaning(sub))
-            case DBox(rel, sub):
-                self._require_memory_table(phi)
-                return self.modal_t("dbox", rel, self.meaning(sub))
-            case Remember(sub):
-                self._require_memory_table(phi)
-                return self.closure_t("remember", None, self.meaning(sub))
-            case Forget(sub):
-                self._require_memory_table(phi)
-                return self.closure_t("forget", None, self.meaning(sub))
-            case Erase(sub):
-                self._require_memory_table(phi)
-                return self.closure_t("erase", None, self.meaning(sub))
-            case At(nom, sub):
-                return self.closure_t("nom", nom, self.meaning(sub))
+            case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
+                return self.modal_t(self._operator(phi), rel, self.meaning(sub))
+            case Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
+                op = ("nom", phi.nom) if isinstance(phi, At) else (self._operator(phi), None)
+                return self.pre(op, self.meaning(sub))
         raise TypeError(f"not a formula: {phi!r}")
 
-    def _require_memory_table(self, phi: Formula) -> None:
-        if not self.memory_table:
-            raise OperatorNotInDialectError(type(phi).__name__.lower(), self.spec.name)
+    def _operator(self, phi: Formula) -> str:
+        """The operator's name, checked against the configuration table."""
+        name = type(phi).__name__.lower()
+        if name in MEMORY_CHANGING and not self.memory_table:
+            raise OperatorNotInDialectError(name, self.spec.name)
+        return name
 
 
 # ---------------------------------------------------------------------------
 # The canonical stream
 
 
-def _silent_wraps(ctx: EvalContext) -> list:
-    wraps = []
-    if ctx.spec.has_negation:
-        wraps.append((Not, ctx.not_t))
-    for kind, nom in closures(conditions_for(ctx.spec), ctx.noms):
-        wraps.append(
-            (
-                lambda sub, kind=kind, nom=nom: closure_formula(kind, nom, sub),
-                lambda m, kind=kind, nom=nom: ctx.closure_t(kind, nom, m),
-            )
-        )
-    return wraps
-
-
-def _modal_wraps(ctx: EvalContext) -> list:
-    wraps = []
-    for r in ctx.rels:
-        for op, build in MODALITIES.items():
-            if ctx.spec.allows(op):
-                wraps.append(
-                    (
-                        lambda sub, r=r, build=build: build(r, sub),
-                        lambda m, r=r, op=op: ctx.modal_t(op, r, m),
-                    )
-                )
-    return wraps
-
-
 def stream_with_meanings(ctx: EvalContext, max_depth: int, budget: int):
     """Yield (formula, meaning mask) pairs of the canonical stream; raise
     BudgetExceededError when more than ``budget`` distinct meanings would be
     produced before the depth bound is exhausted."""
-    spec = ctx.spec
-    silent = _silent_wraps(ctx)
-    modal = _modal_wraps(ctx)
+    modal = [(op, r) for r in ctx.rels for op in MODALITIES if ctx.spec.allows(op)]
     seen: set[int] = set()
     tick = iter(range(10**12))
 
-    seeds: list[tuple[Formula, int]] = [(Top(), ctx.full), (Bottom(), 0)]
-    seeds.extend((Prop(p), ctx.prop_mask[p]) for p in ctx.props)
-    if spec.allows("known"):
-        seeds.append((Known(), ctx.known_mask))
-    if spec.allows("nominal"):
-        seeds.extend((Nom(i), ctx.nom_mask[i]) for i in ctx.noms)
-
+    seeds: list[tuple[Formula, int]] = [(Top(), ctx.full), (Bottom(), 0), *ctx.atoms]
     for depth in range(max_depth + 1):
         heap = [
             (formula_size(phi), print_formula(phi), next(tick), phi, mask) for phi, mask in seeds
@@ -324,7 +305,7 @@ def stream_with_meanings(ctx: EvalContext, max_depth: int, budget: int):
             seen.add(mask)
             accepted.append((phi, mask))
             yield phi, mask
-            for build, transform in silent:
+            for build, transform in ctx.updates:
                 psi = build(phi)
                 heapq.heappush(
                     heap,
@@ -332,7 +313,11 @@ def stream_with_meanings(ctx: EvalContext, max_depth: int, budget: int):
                 )
         if not accepted:
             return
-        seeds = [(build(phi), transform(mask)) for phi, mask in accepted for build, transform in modal]
+        seeds = [
+            (MODALITIES[op](r, phi), ctx.modal_t(op, r, mask))
+            for phi, mask in accepted
+            for op, r in modal
+        ]
 
 
 def enumerate_formulas(
@@ -422,7 +407,6 @@ class JointPartition:
         def wave(batch: list[tuple[Formula, int]]) -> bool:
             split_any = False
             queue = deque(batch)
-            silent = _silent_wraps(ctx)
             while queue:
                 phi, mask = queue.popleft()
                 if mask in seen:
@@ -432,16 +416,20 @@ class JointPartition:
                 seen.add(mask)
                 if self._apply(phi, mask):
                     split_any = True
-                for build, transform in silent:
+                for build, transform in ctx.updates:
                     queue.append((build(phi), transform(mask)))
             return split_any
 
-        atoms: list[tuple[Formula, int]] = [(Prop(p), ctx.prop_mask[p]) for p in ctx.props]
-        if self.spec.allows("known"):
-            atoms.append((Known(), ctx.known_mask))
-        if self.spec.allows("nominal"):
-            atoms.extend((Nom(i), ctx.nom_mask[i]) for i in ctx.noms)
-        changed = wave(atoms)
+        diamonds = [
+            (op, r)
+            for r in ctx.rels
+            for op, dual in (("diamond", "box"), ("ddiamond", "dbox"))
+            if self.spec.allows(op) or self.spec.allows(dual)
+        ]
+        # A cell seeded at an earlier wave still yields the masks it yielded
+        # then, all of them in ``seen`` already.
+        seeded: set[int] = set()
+        changed = wave(ctx.atoms)
         while True:
             if max_depth is not None and self.depth >= max_depth:
                 self.saturated = not changed
@@ -451,14 +439,14 @@ class JointPartition:
                 return
             self.depth += 1
             seeds = []
-            for cell in list(self.cells):
+            for cell in self.cells:
+                if cell in seeded:
+                    continue
+                seeded.add(cell)
                 chi = conjoin(self.paths[cell])
-                for r in ctx.rels:
-                    for op, dual in (("diamond", "box"), ("ddiamond", "dbox")):
-                        if self.spec.allows(op) or self.spec.allows(dual):
-                            seeds.append(
-                                (modality(self.spec, op, r, chi), ctx.modal_t(op, r, cell))
-                            )
+                seeds.extend(
+                    (modality(self.spec, op, r, chi), ctx.pre((op, r), cell)) for op, r in diamonds
+                )
             changed = wave(seeds)
             if not changed:
                 self.saturated = True

@@ -5,10 +5,10 @@ A *configuration* is a (memory set, world) pair; for dialects without memory
 operators the memory component never changes and the configuration space
 collapses to plain world pairs.  The defining conditions of a dialect's
 (bi)simulation are represented explicitly as a SimConditions record derived
-from the LogicSpec:
+from the LogicSpec.  Related points always satisfy the same propositions
+(one-directional for negation-free dialects); the record says which of the
+other conditions are active:
 
-  - agree      : related points satisfy the same propositions (one-directional
-                 for negation-free dialects);
   - kagree     : related points agree on membership in their memories;
   - nagree     : related points name the same nominals;
   - forth/back : the relational zig and zag for the plain modality;
@@ -29,6 +29,7 @@ world-pair space is used.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .configs import (
@@ -61,7 +62,6 @@ DEFAULT_MAX_PAIRS = 2**20
 class SimConditions:
     """Which defining conditions are active (see module docstring)."""
 
-    agree: bool = True
     kagree: bool = False
     remember: bool = False
     forget: bool = False
@@ -90,7 +90,6 @@ def conditions_for(spec: LogicSpec) -> SimConditions:
     ops = spec.operators
     neg = spec.has_negation
     return SimConditions(
-        agree=True,
         atomic_one_directional=not neg,
         kagree="known" in ops,
         remember="remember" in ops,
@@ -140,7 +139,7 @@ class _Engine(PairSpace):
 
     # -- materialization -----------------------------------------------------
 
-    def materialize(self, initial: Pair) -> list[Pair]:
+    def materialize(self, initial: Pair) -> Iterable[Pair]:
         if not self.conds.memory_active:
             if len(self.left.worlds) * len(self.right.worlds) > self.max_pairs:
                 raise StateSpaceExceededError(self.max_pairs)
@@ -166,7 +165,7 @@ class _Engine(PairSpace):
                         raise StateSpaceExceededError(self.max_pairs)
                     seen.add(nxt)
                     queue.append(nxt)
-        return sorted(seen, key=pair_key)
+        return seen
 
     # -- the fixpoint --------------------------------------------------------
 
@@ -182,7 +181,7 @@ class _Engine(PairSpace):
         while True:
             rnd += 1
             doomed = []
-            for pair in sorted(self.alive, key=pair_key):
+            for pair in self.alive:
                 reason = self.violation(pair)
                 if reason is not None:
                     doomed.append((pair, reason))

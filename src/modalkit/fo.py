@@ -94,6 +94,12 @@ class Implies(FOFormula):
 
 
 @dataclass(frozen=True)
+class Iff(FOFormula):
+    left: FOFormula
+    right: FOFormula
+
+
+@dataclass(frozen=True)
 class Exists(FOFormula):
     var: str
     sub: FOFormula
@@ -201,6 +207,8 @@ def _eval(s: FOStructure, env: dict, phi: FOFormula) -> bool:
             return _eval(s, env, a) or _eval(s, env, b)
         case Implies(a, b):
             return (not _eval(s, env, a)) or _eval(s, env, b)
+        case Iff(a, b):
+            return _eval(s, env, a) == _eval(s, env, b)
         case Exists(var, sub):
             return any(_eval(s, {**env, var: d}, sub) for d in s.domain)
         case Forall(var, sub):
@@ -215,7 +223,7 @@ def quantifier_rank(phi: FOFormula) -> int:
             return 0
         case Not(sub):
             return quantifier_rank(sub)
-        case And(a, b) | Or(a, b) | Implies(a, b):
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
             return max(quantifier_rank(a), quantifier_rank(b))
         case Exists(_, sub) | Forall(_, sub):
             return 1 + quantifier_rank(sub)
@@ -253,6 +261,8 @@ def fo_print(phi: FOFormula) -> str:
             return f"(or {fo_print(a)} {fo_print(b)})"
         case Implies(a, b):
             return f"(implies {fo_print(a)} {fo_print(b)})"
+        case Iff(a, b):
+            return f"(iff {fo_print(a)} {fo_print(b)})"
         case Exists(var, sub):
             return f"(exists {var} {fo_print(sub)})"
         case Forall(var, sub):

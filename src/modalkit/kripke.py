@@ -161,6 +161,8 @@ def load_model(text: str) -> tuple[KripkeModel, str | None]:
         head = head.strip()
         payload = payload.strip()
         parts = head.split()
+        if not parts:
+            raise ModelFormatError(lineno, "expected a directive name before ':'")
         if parts[0] == "worlds" and len(parts) == 1:
             if worlds is not None:
                 raise ModelFormatError(lineno, "duplicate worlds line")

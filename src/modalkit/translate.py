@@ -95,10 +95,7 @@ def translate_formula(phi: Formula) -> fo.FOFormula:
             case Implies(a, b):
                 return fo.Implies(go(a, term, trail), go(b, term, trail))
             case Iff(a, b):
-                # there is no first-order biconditional node; expand it
-                left = go(a, term, trail)
-                right = go(b, term, trail)
-                return fo.And(fo.Implies(left, right), fo.Implies(right, left))
+                return fo.Iff(go(a, term, trail), go(b, term, trail))
             case Diamond(rel, sub):
                 y = fresh()
                 return fo.Exists(y, fo.And(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), trail)))

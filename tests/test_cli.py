@@ -267,6 +267,17 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "bisim", REFL, CYC, "--left-world", "zz")
     assert code == 2 and err.startswith("error:")
+    nameless = tmp_path / "nameless.km"
+    nameless.write_text("worlds: a\n: x\n")
+    for argv in (
+        ("check", "-m", str(nameless), "-f", "p"),
+        ("bisim", str(nameless), REFL),
+        ("game", str(nameless), REFL),
+        ("translate", "-m", str(nameless), "-f", "p"),
+        ("minimize", "-m", str(nameless)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: line 2:")
 
 
 @pytest.mark.parametrize("shape", sorted(NESTED))

@@ -116,19 +116,24 @@ def test_context_capped(monkeypatch):
 @settings(max_examples=60)
 @given(st.data())
 def test_meaning_matches_checker(data):
-    """ctx.meaning agrees with the plain evaluator at every configuration
-    (the model rebuilt with the configuration's memory)."""
+    """ctx.meaning agrees with the plain evaluator at every configuration of
+    every model of a joint context (the model rebuilt with the
+    configuration's memory), so each model's offset into the operator
+    tables is exercised."""
     name = data.draw(st.sampled_from(sorted(DIALECTS)))
     spec = DIALECTS[name]
     from conftest import formulas, sig_for
 
     sig = sig_for(spec)
-    model = data.draw(models(sig=sig, max_worlds=3, allow_mem=spec.allows("known")))
+    mods = data.draw(
+        st.lists(models(sig=sig, max_worlds=3, allow_mem=spec.allows("known")), min_size=1, max_size=2)
+    )
     phi = data.draw(formulas(spec, sig))
-    ctx = EvalContext(spec, [model])
+    ctx = EvalContext(spec, mods)
     mask = ctx.meaning(phi)
-    for b, (_, mem, w) in enumerate(ctx.configs):
-        at_mem = KripkeModel(model.worlds, model.rels, model.val, mem, model.noms)
+    for b, (k, mem, w) in enumerate(ctx.configs):
+        m = mods[k]
+        at_mem = KripkeModel(m.worlds, m.rels, m.val, mem, m.noms)
         assert ((mask >> b) & 1) == check(at_mem, w, phi), print_formula(phi)
 
 

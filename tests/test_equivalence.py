@@ -71,7 +71,7 @@ CONDITION_TABLE = {
 
 @pytest.mark.parametrize("name", sorted(CONDITION_TABLE))
 def test_conditions_for(name):
-    assert conditions_for(DIALECTS[name]) == SimConditions(agree=True, **CONDITION_TABLE[name])
+    assert conditions_for(DIALECTS[name]) == SimConditions(**CONDITION_TABLE[name])
 
 
 def test_directed_conditions():

@@ -134,6 +134,7 @@ def test_empty_payload_declares_name():
         ("worlds: a\njust some text", 2),  # no colon
         ("worlds:", 1),
         ("worlds: a\nrel r: a->b c", 2),
+        ("worlds: a\n: x", 2),  # no directive name
     ],
 )
 def test_load_errors_carry_line_numbers(text, line):

@@ -41,7 +41,7 @@ CLAUSES = [
     ("'i", "(= x i)"),
     ("~p | q", "(or (not (p x)) (q x))"),
     ("p -> q", "(implies (p x) (q x))"),
-    ("p <-> q", "(and (implies (p x) (q x)) (implies (q x) (p x)))"),
+    ("p <-> q", "(iff (p x) (q x))"),
     ("<r>p", "(exists y0 (and (r x y0) (p y0)))"),
     ("[r]p", "(forall y0 (implies (r x y0) (p y0)))"),
     ("<r>[r]p", "(exists y0 (and (r x y0) (forall y1 (implies (r y0 y1) (p y1)))))"),
@@ -71,6 +71,18 @@ def test_fresh_variables_run_left_to_right():
         "(and (exists y0 (and (r x y0) (exists y1 (and (r y0 y1) (p y1))))) "
         "(exists y2 (and (r x y2) (q y2))))"
     )
+
+
+def test_biconditional_chain_translates_linearly():
+    """Each <-> becomes one iff node, so both sides are printed once."""
+    text = " <-> ".join(["p", "<r>q"] * 8 + ["p"])  # 16 links
+    phi = parse_formula(text, SIG_NOM, ALL)
+    translated = translate_formula(phi)
+    assert len(fo_print(translated)) < 2048
+    model = _two_world()
+    for w in model.worlds:
+        structure, assignment = translate_model(model, w, SIG_NOM)
+        assert fo_check(structure, assignment, translated) == check(model, w, phi)
 
 
 @given(st.data())
