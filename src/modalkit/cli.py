@@ -55,12 +55,13 @@ def _infer_signature(text: str, models: list[KripkeModel]) -> Signature:
         rels.update(sig.rels)
         noms.update(sig.noms)
     tokens = _tokenize(text)
-    for prev, tok in zip(tokens, tokens[1:]):
+    for prev, tok in zip([None, *tokens], tokens):
         if tok.kind != "ident" or tok.text in RESERVED_WORDS:
             continue
-        if prev.kind == "sym" and prev.text in ("<", "<<", "[", "[["):
+        after = prev.text if prev is not None and prev.kind == "sym" else None
+        if after in ("<", "<<", "[", "[["):
             rels.add(tok.text)
-        elif prev.kind == "sym" and prev.text in ("'", "@"):
+        elif after in ("'", "@"):
             noms.add(tok.text)
         elif tok.text not in rels and tok.text not in noms:
             props.add(tok.text)

@@ -15,10 +15,17 @@ place that says how a configuration changes:
     whether the step is traced.
 
 ``PairSpace`` applies these to configuration pairs over two models under one
-condition set (see ``equivalence.SimConditions``); the fixpoint, the game
-and ``verify_relation`` all read the static check, the closure images and
-the modal moves from it.  ``EvalContext`` compiles the same updates, through
-``close`` and ``step_memory``, into its per-operator predecessor tables.
+condition set (see ``equivalence.SimConditions``); the game and
+``verify_relation`` read the static check, the closure images and the modal
+moves from it.  ``ConfigTable`` compiles one model's side of a pair space:
+it interns each configuration as an int in first-seen order, keeps its
+atomic signature as an int (the proposition bits in ``PairSpace.props``
+order, then the ``known`` bit, then the nominal bits, each group only where
+its condition is on), caches on first use where each closure update and each
+modal step moves it, and keeps the inverse of each of those maps; the
+fixpoint in ``equivalence`` runs on these tables.  ``EvalContext`` compiles
+the same updates, through ``close`` and ``step_memory``, into its
+per-operator predecessor tables.
 """
 
 from __future__ import annotations
@@ -122,6 +129,75 @@ def modal_clauses(conds: SimConditions) -> tuple[tuple[str, str, bool], ...]:
 def step_memory(mem: frozenset[str], world: str, traced: bool) -> frozenset[str]:
     """The memory after a modal step from (mem, world)."""
     return remember(mem, world) if traced else mem
+
+
+# An operator of a ConfigTable: ("close", kind, nominal) for a closure update,
+# ("step", rel, traced) for a modal step.
+Op = tuple[str, str | None, object]
+
+
+class ConfigTable:
+    """One model's configurations as ints, with their signatures and moves.
+
+    ``configs[c]`` is the configuration with id c, ``sig[c]`` its atomic
+    signature; ``moves[op][c]`` is the tuple of ids one application of op
+    leads to from c (one id for a closure update, the successors for a step)
+    and ``pre[op][d]`` lists the ids whose ``moves[op]`` entry contains d.
+    Both are filled by ``targets``, entry by entry, on first use.
+    """
+
+    def __init__(self, model: KripkeModel, props: list[str], known: bool, noms):
+        self.model = model
+        self.configs: list[Config] = []
+        self.sig: list[int] = []
+        self.ids: dict[tuple[frozenset[str], str], int] = {}
+        self.moves: dict[Op, dict[int, tuple[int, ...]]] = {}
+        self.pre: dict[Op, dict[int, list[int]]] = {}
+        bits: dict[str, int] = dict.fromkeys(model.worlds, 0)
+        for k, p in enumerate(props):
+            for w in model.val.get(p, ()):
+                bits[w] |= 1 << k
+        self._known_bit = 1 << len(props) if known else 0
+        base = len(props) + bool(known)
+        for k, i in enumerate(noms):
+            bits[model.noms[i]] |= 1 << (base + k)
+        self._world_bits = bits
+
+    def intern(self, mem: frozenset[str], world: str) -> int:
+        key = (mem, world)
+        c = self.ids.get(key)
+        if c is None:
+            c = self.ids[key] = len(self.configs)
+            self.configs.append(Config(mem, world))
+            sig = self._world_bits[world]
+            if world in mem:
+                sig |= self._known_bit
+            self.sig.append(sig)
+        return c
+
+    def id_of(self, config: Config) -> int:
+        return self.ids[(config.mem, config.world)]
+
+    def targets(self, op: Op, c: int) -> tuple[int, ...]:
+        """The ids op moves configuration c to, computed once."""
+        row = self.moves.get(op)
+        if row is None:
+            row = self.moves[op] = {}
+            self.pre[op] = {}
+        out = row.get(c)
+        if out is None:
+            tag, a, b = op
+            config = self.configs[c]
+            if tag == "step":
+                mem = step_memory(config.mem, config.world, b)
+                out = tuple(self.intern(mem, t) for t in self.model.successors(a, config.world))
+            else:
+                out = (self.intern(*close(a, b, self.model, config.mem, config.world)),)
+            row[c] = out
+            pre = self.pre[op]
+            for d in out:
+                pre.setdefault(d, []).append(c)
+        return out
 
 
 class PairSpace:

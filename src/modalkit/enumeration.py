@@ -47,6 +47,7 @@ the rest.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from functools import partial
 from itertools import combinations
@@ -84,7 +85,7 @@ from .syntax import (
     Prop,
     Remember,
     Top,
-    conjoin,
+    conjoin_sorted,
     formula_size,
     modality,
     print_formula,
@@ -371,9 +372,11 @@ class JointPartition:
     ``tests`` lists the formulas that split some class, with their meanings,
     in split order; ``paths`` maps each class to the signed tests (the test
     where the class fell inside, its negation where it fell outside) on its
-    way down from the whole space.  The first test that tells two classes
-    apart is the one that split their last common ancestor, so both queries
-    below read a path instead of searching the tests.
+    way down from the whole space, and ``conjuncts`` the same tests as
+    (rendered text, formula) entries sorted by text, each rendered once at
+    its split.  The first test that tells two classes apart is the one that
+    split their last common ancestor, so both queries below read a path
+    instead of searching the tests.
     """
 
     def __init__(
@@ -394,6 +397,9 @@ class JointPartition:
         self.cells: list[int] = [self.ctx.full] if self.ctx.full else []
         # cell -> the signed tests that carved it out, in split order
         self.paths: dict[int, tuple[Formula, ...]] = {cell: () for cell in self.cells}
+        self.conjuncts: dict[int, tuple[tuple[str, Formula], ...]] = {
+            cell: () for cell in self.cells
+        }
         self.depth = 0
         self.saturated = False
         self._run(max_depth, max_tests)
@@ -443,7 +449,7 @@ class JointPartition:
                 if cell in seeded:
                     continue
                 seeded.add(cell)
-                chi = conjoin(self.paths[cell])
+                chi = conjoin_sorted(self.conjuncts[cell])
                 seeds.extend(
                     (modality(self.spec, op, r, chi), ctx.pre((op, r), cell)) for op, r in diamonds
                 )
@@ -459,11 +465,16 @@ class JointPartition:
             inside = cell & mask
             outside = cell & ~mask
             if inside and outside:
+                if not split_any:
+                    neg = Not(phi)
+                    signed = ((print_formula(phi), phi), (print_formula(neg), neg))
+                    split_any = True
                 new_cells.extend((inside, outside))
                 path = self.paths.pop(cell)
-                self.paths[inside] = (*path, phi)
-                self.paths[outside] = (*path, Not(phi))
-                split_any = True
+                entries = self.conjuncts.pop(cell)
+                for child, entry in zip((inside, outside), signed):
+                    self.paths[child] = (*path, entry[1])
+                    self.conjuncts[child] = _with_entry(entries, entry)
             else:
                 new_cells.append(cell)
         if split_any:
@@ -482,7 +493,7 @@ class JointPartition:
     def characteristic(self, bit: int) -> Formula:
         """A formula true exactly on the bit's meaning class: the conjunction
         of the signed tests on its split path."""
-        return conjoin(self.paths[self.cells[self.cell_index_of(bit)]])
+        return conjoin_sorted(self.conjuncts[self.cells[self.cell_index_of(bit)]])
 
     def separator_between(self, bit_true: int, bit_false: int) -> Formula | None:
         """A minimal-wave formula true at the first configuration and false
@@ -492,6 +503,14 @@ class JointPartition:
         theirs = self.paths[self.cells[self.cell_index_of(bit_false)]]
         # paths share their common prefix object for object
         return next((a for a, b in zip(mine, theirs) if a is not b), None)
+
+
+def _with_entry(entries: tuple, entry: tuple[str, Formula]) -> tuple:
+    """The sorted (text, formula) entries with one more, which replaces an
+    entry of the same text as ``conjoin`` keeps the last of equal texts."""
+    i = bisect_left(entries, entry[0], key=lambda e: e[0])
+    j = i + 1 if i < len(entries) and entries[i][0] == entry[0] else i
+    return (*entries[:i], entry, *entries[j:])
 
 
 # ---------------------------------------------------------------------------

@@ -19,22 +19,38 @@ other conditions are active:
   - nom        : closure under jumping both sides to a nominal's worlds.
 
 The engine starts from every materialized pair satisfying the static
-conditions and deletes violating pairs in synchronous rounds until stable;
-the survivors are the largest relation closed under the conditions, so the
-returned witness contains every valid hand-built relation over the same
-space.  For memory dialects the configuration space is materialized lazily
-from the initial pair's closure (with a hard cap); for the others the full
+conditions and deletes violating pairs in rounds until stable; the survivors
+are the largest relation closed under the conditions, so the returned
+witness contains every valid hand-built relation over the same space.  For
+memory dialects the configuration space is materialized lazily from the
+initial pair's closure (with a hard cap); for the others the full
 world-pair space is used.
+
+The engine runs on integers.  Each model's configurations are interned in a
+``configs.ConfigTable``, and a pair of ids is the one int
+``p = c1 * K + c2``, K bounding the right table's size.  The static check
+compares the two signature ints (``sig1 == sig2``, or ``sig1 & ~sig2 == 0``
+when atomic agreement is one-directional).  Round 1 checks every statically
+live pair; round r + 1 checks only the live predecessors of the pairs round
+r deleted, found through the tables' inverse maps, since a pair none of
+whose closure images or modal successor pairs died keeps the verdict it had.
+Every check of a round reads the live set as the round found it and the
+round's deletions are applied after its last check, so each deleted pair's
+round (the modal depth ``fixpoint_separator`` reads) and reason are exactly
+those of synchronous rounds that re-check every live pair (Kanellakis &
+Smolka, Inf. & Comp. 86(1) 1990).  Configurations are rebuilt only at the
+edges: the witness, and ``_Engine.death``, which the distinguisher tracer
+reads by configuration pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .configs import (
     CLAUSES,
     Config,
+    ConfigTable,
     Pair,
     PairSpace,
     closure_formula,
@@ -125,6 +141,10 @@ def serialize_witness(witness: frozenset[Pair]) -> str:
 
 
 class _Engine(PairSpace):
+    """The fixpoint on pair ids p = c1 * K + c2 over the two models'
+    ``ConfigTable``s; ``alive`` and ``dead`` (p -> (round, reason)) are keyed
+    by pair id, and ``death`` translates an entry back into configurations."""
+
     def __init__(
         self,
         conds: SimConditions,
@@ -134,68 +154,157 @@ class _Engine(PairSpace):
     ):
         super().__init__(conds, left, right)
         self.max_pairs = max_pairs
-        self.dead: dict[Pair, tuple[int, tuple]] = {}
-        self.alive: set[Pair] = set()
+        noms = self.noms if conds.nagree else ()
+        self.tables = (
+            ConfigTable(left, self.props, conds.kagree, noms),
+            ConfigTable(right, self.props, conds.kagree, noms),
+        )
+        # K bounds the right model's configuration count: |W| without
+        # memory moves, |W| * 2^|W| with them.
+        n = len(right.worlds)
+        self.K = n << n if conds.memory_active else n
+        steps = sorted({traced for _, _, traced in self.clauses})
+        self.ops = [("close", kind, nom) for kind, nom in self.closures] + [
+            ("step", rel, traced) for rel in self.rels for traced in steps
+        ]
+        self.dead: dict[int, tuple[int, tuple | None]] = {}
+        self.alive: set[int] = set()
 
     # -- materialization -----------------------------------------------------
 
-    def materialize(self, initial: Pair) -> Iterable[Pair]:
+    def materialize(self, initial: Pair) -> list[int]:
+        """The pair ids of the space, with every move of their configurations
+        cached in the tables."""
+        t1, t2 = self.tables
+        K = self.K
         if not self.conds.memory_active:
             if len(self.left.worlds) * len(self.right.worlds) > self.max_pairs:
                 raise StateSpaceExceededError(self.max_pairs)
-            mem1, mem2 = initial[0].mem, initial[1].mem
-            return [
-                (Config(mem1, a), Config(mem2, b))
-                for a in self.left.worlds
-                for b in self.right.worlds
-            ]
-        steps = sorted({traced for _, _, traced in self.clauses})
-        seen = {initial}
-        queue = [initial]
-        while queue:
-            pair = queue.pop()
-            neighbours: list[Pair] = [img for _, _, img in self.closure_images(pair)]
-            for rel in self.rels:
-                for traced in steps:
-                    targets, replies, join = self.moves(pair, rel, "left", traced)
-                    neighbours.extend(join(t, u) for t in targets for u in replies)
-            for nxt in neighbours:
-                if nxt not in seen:
-                    if len(seen) >= self.max_pairs:
-                        raise StateSpaceExceededError(self.max_pairs)
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
+            ids1 = [t1.intern(initial[0].mem, a) for a in self.left.worlds]
+            ids2 = [t2.intern(initial[1].mem, b) for b in self.right.worlds]
+            for op in self.ops:
+                for c in ids1:
+                    t1.targets(op, c)
+                for c in ids2:
+                    t2.targets(op, c)
+            return [a * K + b for a in ids1 for b in ids2]
+        c1, c2 = initial
+        order = [t1.intern(c1.mem, c1.world) * K + t2.intern(c2.mem, c2.world)]
+        seen = set(order)
+        for p in order:  # grows while walked: breadth-first
+            c1, c2 = divmod(p, K)
+            for op in self.ops:
+                replies = t2.targets(op, c2)
+                for a in t1.targets(op, c1):
+                    base = a * K
+                    for b in replies:
+                        q = base + b
+                        if q not in seen:
+                            if len(seen) >= self.max_pairs:
+                                raise StateSpaceExceededError(self.max_pairs)
+                            seen.add(q)
+                            order.append(q)
+        return order
 
     # -- the fixpoint --------------------------------------------------------
 
     def run(self, initial: Pair) -> None:
-        space = self.materialize(initial)
-        for pair in space:
-            reason = self.static_violation(pair)
-            if reason is None:
-                self.alive.add(pair)
+        """Round 1 checks every statically live pair; round r + 1 checks only
+        the live predecessors of the pairs round r deleted, the only ones
+        whose check can have changed.  Each round's checks all read
+        ``alive`` as the round found it."""
+        pairs = self.materialize(initial)
+        (t1, t2), K = self.tables, self.K
+        sig1, sig2 = t1.sig, t2.sig
+        one_way = self.conds.atomic_one_directional
+        alive, dead = self.alive, self.dead
+        for p in pairs:
+            s1, s2 = sig1[p // K], sig2[p % K]
+            if (s1 & ~s2 == 0) if one_way else (s1 == s2):
+                alive.add(p)
             else:
-                self.dead[pair] = (0, reason)
+                dead[p] = (0, None)
+        self._closure_rows = [
+            (kind, nom, t1.moves[("close", kind, nom)], t2.moves[("close", kind, nom)])
+            for kind, nom in self.closures
+        ]
+        self._clause_rows = [
+            (name, rel, side == "left", t1.moves[("step", rel, traced)], t2.moves[("step", rel, traced)])
+            for rel in self.rels
+            for name, side, traced in self.clauses
+        ]
+        pre_rows = [(t1.pre[op], t2.pre[op]) for op in self.ops]
         rnd = 0
-        while True:
+        frontier = set(alive)
+        while frontier:
             rnd += 1
-            doomed = []
-            for pair in self.alive:
-                reason = self.violation(pair)
-                if reason is not None:
-                    doomed.append((pair, reason))
-            if not doomed:
-                break
-            for pair, reason in doomed:
-                self.alive.discard(pair)
-                self.dead[pair] = (rnd, reason)
+            doomed = [(p, reason) for p in frontier if (reason := self.violation(p)) is not None]
+            for p, reason in doomed:
+                alive.discard(p)
+                dead[p] = (rnd, reason)
+            deleted: dict[int, list[int]] = {}
+            for q, _ in doomed:
+                d1, d2 = divmod(q, K)
+                deleted.setdefault(d1, []).append(d2)
+            frontier = set()
+            for pre1, pre2 in pre_rows:
+                for d1, d2s in deleted.items():
+                    sources = pre1.get(d1)
+                    if sources:
+                        replies = set().union(*[pre2.get(d2, ()) for d2 in d2s])
+                        for a in sources:
+                            frontier.update(map((a * K).__add__, replies))
+            frontier &= alive
 
-    def violation(self, pair: Pair) -> tuple | None:
-        for kind, info, image in self.closure_images(pair):
-            if image not in self.alive:
-                return (kind, info, image)
-        return self.modal_violation(pair, self.alive)
+    def violation(self, p: int) -> tuple | None:
+        """The first failed condition of pair p against ``alive``: a closure
+        update with its image's pair id, or a modal clause with the target's
+        configuration id."""
+        K, alive = self.K, self.alive
+        c1, c2 = divmod(p, K)
+        for kind, nom, row1, row2 in self._closure_rows:
+            (a,), (b,) = row1[c1], row2[c2]
+            if a * K + b not in alive:
+                return (kind, nom, a * K + b)
+        for name, rel, left_first, row1, row2 in self._clause_rows:
+            succ1, succ2 = row1[c1], row2[c2]
+            if left_first:
+                for t in succ1:
+                    if alive.isdisjoint(map((t * K).__add__, succ2)):
+                        return (name, rel, t)
+            elif succ2:
+                bases = [u * K for u in succ1]
+                for t in succ2:
+                    if alive.isdisjoint(map(t.__add__, bases)):
+                        return (name, rel, t)
+        return None
+
+    # -- the edges -----------------------------------------------------------
+
+    def pair(self, p: int) -> Pair:
+        c1, c2 = divmod(p, self.K)
+        return (self.tables[0].configs[c1], self.tables[1].configs[c2])
+
+    def pair_id(self, pair: Pair) -> int:
+        return self.tables[0].id_of(pair[0]) * self.K + self.tables[1].id_of(pair[1])
+
+    def witness(self) -> frozenset[Pair]:
+        return frozenset(self.pair(p) for p in self.alive)
+
+    def death(self, pair: Pair) -> tuple[int, tuple] | None:
+        """(round, reason) of a deleted pair as the synchronous rounds state
+        it, with configurations and worlds in place of ids; None if alive."""
+        entry = self.dead.get(self.pair_id(pair))
+        if entry is None:
+            return None
+        rnd, reason = entry
+        if reason is None:
+            return (0, self.static_violation(pair))
+        name, info, target = reason
+        if name in CLAUSES:
+            table = self.tables[0 if CLAUSES[name][0] == "left" else 1]
+            return (rnd, (name, info, table.configs[target].world))
+        return (rnd, (name, info, self.pair(target)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +326,7 @@ class _Tracer:
     def trace(self, pair: Pair) -> Formula:
         if pair in self.memo:
             return self.memo[pair]
-        _, reason = self.engine.dead[pair]
+        _, reason = self.engine.death(pair)
         phi = self._build(pair, reason)
         self.memo[pair] = phi
         return phi
@@ -266,8 +375,8 @@ def _solve(
     engine = _Engine(conds, left, right, max_pairs)
     initial = initial_pair(left, w, right, v)
     engine.run(initial)
-    if initial in engine.alive:
-        return SimulationOutcome(True, frozenset(engine.alive), None)
+    if engine.death(initial) is None:
+        return SimulationOutcome(True, engine.witness(), None)
     if conds.memory_active:
         if distinguisher_depth <= 0:
             return SimulationOutcome(False, None, None)
@@ -293,7 +402,8 @@ def fixpoint_separator(
     engine = _Engine(conditions_for(spec), left, right, max_pairs)
     initial = initial_pair(left, w, right, v)
     engine.run(initial)
-    if initial in engine.alive or engine.dead[initial][0] > depth:
+    death = engine.death(initial)
+    if death is None or death[0] > depth:
         return None
     return _Tracer(spec, engine).trace(initial)
 

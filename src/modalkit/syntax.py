@@ -610,11 +610,16 @@ def formula_size(phi: Formula) -> int:
 def conjoin(parts) -> Formula:
     """Left fold of And over the parts, deduplicated and sorted by rendered
     text; the empty conjunction is true."""
-    uniq = sorted({print_formula(p): p for p in parts}.items())
-    if not uniq:
+    return conjoin_sorted(sorted({print_formula(p): p for p in parts}.items()))
+
+
+def conjoin_sorted(entries) -> Formula:
+    """``conjoin`` of parts given as (rendered text, formula) entries,
+    already sorted by text with each text once."""
+    if not entries:
         return Top()
-    out = uniq[0][1]
-    for _, p in uniq[1:]:
+    out = entries[0][1]
+    for _, p in entries[1:]:
         out = And(out, p)
     return out
 

@@ -121,6 +121,13 @@ def test_translate_infers_roles_from_syntax(capsys):
     assert (code, out) == (0, "(p k)\n")
 
 
+def test_translate_gives_the_first_token_a_role(capsys):
+    code, out, _ = run(capsys, "translate", "-f", "p & q")
+    assert (code, out) == (0, "(and (p x) (q x))\n")
+    code, out, _ = run(capsys, "translate", "-f", "p")
+    assert (code, out) == (0, "(p x)\n")
+
+
 def test_translate_still_enforces_the_dialect(capsys):
     code, out, err = run(capsys, "translate", "-f", "@k p", "-d", "bml")
     assert code == 2 and out == "" and err.startswith("error:")

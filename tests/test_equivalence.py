@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIG, fixture_model, models
+from conftest import SIG, fixture_model, models, sig_for
+from modalkit.configs import PairSpace, initial_pair
 from modalkit.equivalence import (
     Config,
     SimConditions,
+    _Engine,
     bisimilar,
     bml_partition_refinement,
     conditions_for,
@@ -269,6 +271,122 @@ def test_witnesses_verify(data):
             verify_relation(directed_conditions(conds), left, right, directed.witness)
             is None
         )
+
+
+# ---------------------------------------------------------------------------
+# The worklist against the synchronous rounds
+
+
+def _synchronous_rounds(conds, left, right, initial):
+    """The reference fixpoint on configuration pairs: every live pair is
+    re-checked each round against the live set as the round found it.
+    Returns (alive, dead) keyed by configuration pairs."""
+    space = PairSpace(conds, left, right)
+    if conds.memory_active:
+        steps = sorted({traced for _, _, traced in space.clauses})
+        materialized = {initial}
+        queue = [initial]
+        while queue:
+            pair = queue.pop()
+            neighbours = [img for _, _, img in space.closure_images(pair)]
+            for rel in space.rels:
+                for traced in steps:
+                    targets, replies, join = space.moves(pair, rel, "left", traced)
+                    neighbours.extend(join(t, u) for t in targets for u in replies)
+            for nxt in neighbours:
+                if nxt not in materialized:
+                    materialized.add(nxt)
+                    queue.append(nxt)
+    else:
+        mem1, mem2 = initial[0].mem, initial[1].mem
+        materialized = [
+            (Config(mem1, a), Config(mem2, b)) for a in left.worlds for b in right.worlds
+        ]
+    alive, dead = set(), {}
+    for pair in materialized:
+        reason = space.static_violation(pair)
+        if reason is None:
+            alive.add(pair)
+        else:
+            dead[pair] = (0, reason)
+
+    def violation(pair):
+        for kind, info, image in space.closure_images(pair):
+            if image not in alive:
+                return (kind, info, image)
+        return space.modal_violation(pair, alive)
+
+    rnd = 0
+    while True:
+        rnd += 1
+        doomed = [(pair, r) for pair in alive if (r := violation(pair)) is not None]
+        if not doomed:
+            return alive, dead
+        for pair, reason in doomed:
+            alive.discard(pair)
+            dead[pair] = (rnd, reason)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(DIALECTS)), st.booleans(), st.data())
+def test_worklist_matches_synchronous_rounds(name, directed, data):
+    """Same witness, and the same (round, reason) for every materialized
+    pair, as the synchronous rounds; the signature check is the static
+    check."""
+    spec = DIALECTS[name]
+    sig = sig_for(spec)
+    mem = spec.allows("known")
+    left = data.draw(models(sig=sig, max_worlds=4, allow_mem=mem))
+    right = data.draw(models(sig=sig, max_worlds=4, allow_mem=mem))
+    w = data.draw(st.sampled_from(left.worlds))
+    v = data.draw(st.sampled_from(right.worlds))
+    conds = conditions_for(spec)
+    if directed:
+        conds = directed_conditions(conds)
+    initial = initial_pair(left, w, right, v)
+    engine = _Engine(conds, left, right, 2**20)
+    engine.run(initial)
+    alive, dead = _synchronous_rounds(conds, left, right, initial)
+    assert engine.witness() == frozenset(alive)
+    assert len(engine.alive) + len(engine.dead) == len(alive) + len(dead)
+    for pair in alive:
+        assert engine.death(pair) is None
+    for pair, entry in dead.items():
+        assert engine.death(pair) == entry
+    (t1, t2), one_way = engine.tables, conds.atomic_one_directional
+    for c1, s1 in zip(t1.configs, t1.sig):
+        for c2, s2 in zip(t2.configs, t2.sig):
+            agrees = (s1 & ~s2 == 0) if one_way else (s1 == s2)
+            assert agrees == (engine.static_violation((c1, c2)) is None)
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_worklist_checks_each_pair_a_bounded_number_of_times(n, monkeypatch):
+    """A chain of n worlds against one of n + 1 takes about n synchronous
+    rounds, but the worklist re-checks only predecessors of deleted pairs:
+    a small constant times the pair count in all, not rounds x pairs."""
+    calls = 0
+    check = _Engine.violation
+
+    def counting(self, p):
+        nonlocal calls
+        calls += 1
+        return check(self, p)
+
+    monkeypatch.setattr(_Engine, "violation", counting)
+
+    def chain(k):
+        worlds = tuple(f"w{i:02d}" for i in range(k))
+        return KripkeModel(worlds, {"r": frozenset(zip(worlds, worlds[1:]))})
+
+    short, long = chain(n), chain(n + 1)
+    engine = _Engine(conditions_for(BML), short, long, 2**20)
+    initial = initial_pair(short, "w00", long, "w00")
+    engine.run(initial)
+    pairs = n * (n + 1)
+    assert len(engine.alive) + len(engine.dead) == pairs
+    assert engine.death(initial)[0] == n
+    assert calls <= 3 * pairs
 
 
 # ---------------------------------------------------------------------------
