@@ -99,6 +99,8 @@ def load_universe(directory: str | Path) -> Universe:
     model; files must carry a point directive.  Structural duplicates (same
     model and point) keep only the first occurrence."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise InvariantViolationError(f"no universe directory {str(directory)!r}")
     names: list[str] = []
     members: list[PointedModel] = []
     seen: set[tuple[KripkeModel, str]] = set()

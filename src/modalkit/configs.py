@@ -23,9 +23,10 @@ atomic signature as an int (the proposition bits in ``PairSpace.props``
 order, then the ``known`` bit, then the nominal bits, each group only where
 its condition is on), caches on first use where each closure update and each
 modal step moves it, and keeps the inverse of each of those maps; the
-fixpoint in ``equivalence`` runs on these tables.  ``EvalContext`` compiles
-the same updates, through ``close`` and ``step_memory``, into its
-per-operator predecessor tables.
+fixpoint in ``equivalence`` runs on these tables.  ``EvalContext`` lays out
+one ``ConfigTable`` per model as its bit positions, reads its atom masks
+from the signatures and fills its per-operator predecessor tables from the
+tables' moves.
 """
 
 from __future__ import annotations
@@ -143,7 +144,9 @@ class ConfigTable:
     signature; ``moves[op][c]`` is the tuple of ids one application of op
     leads to from c (one id for a closure update, the successors for a step)
     and ``pre[op][d]`` lists the ids whose ``moves[op]`` entry contains d.
-    Both are filled by ``targets``, entry by entry, on first use.
+    Both are filled by ``targets``, entry by entry, on first use; ``move``
+    computes an entry without recording it.  A nominal the model does not
+    assign sets no signature bit.
     """
 
     def __init__(self, model: KripkeModel, props: list[str], known: bool, noms):
@@ -160,7 +163,8 @@ class ConfigTable:
         self._known_bit = 1 << len(props) if known else 0
         base = len(props) + bool(known)
         for k, i in enumerate(noms):
-            bits[model.noms[i]] |= 1 << (base + k)
+            if i in model.noms:  # a dialect without nominals may mix models
+                bits[model.noms[i]] |= 1 << (base + k)
         self._world_bits = bits
 
     def intern(self, mem: frozenset[str], world: str) -> int:
@@ -178,22 +182,24 @@ class ConfigTable:
     def id_of(self, config: Config) -> int:
         return self.ids[(config.mem, config.world)]
 
+    def move(self, op: Op, c: int) -> tuple[int, ...]:
+        """The ids op moves configuration c to, interning them as needed."""
+        tag, a, b = op
+        config = self.configs[c]
+        if tag == "step":
+            mem = step_memory(config.mem, config.world, b)
+            return tuple(self.intern(mem, t) for t in self.model.successors(a, config.world))
+        return (self.intern(*close(a, b, self.model, config.mem, config.world)),)
+
     def targets(self, op: Op, c: int) -> tuple[int, ...]:
-        """The ids op moves configuration c to, computed once."""
+        """``move``, computed once and recorded in ``moves`` and ``pre``."""
         row = self.moves.get(op)
         if row is None:
             row = self.moves[op] = {}
             self.pre[op] = {}
         out = row.get(c)
         if out is None:
-            tag, a, b = op
-            config = self.configs[c]
-            if tag == "step":
-                mem = step_memory(config.mem, config.world, b)
-                out = tuple(self.intern(mem, t) for t in self.model.successors(a, config.world))
-            else:
-                out = (self.intern(*close(a, b, self.model, config.mem, config.world)),)
-            row[c] = out
+            out = row[c] = self.move(op, c)
             pre = self.pre[op]
             for d in out:
                 pre.setdefault(d, []).append(c)

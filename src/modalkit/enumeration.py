@@ -1,15 +1,17 @@
 """Canonical formula streams and algebraic theory comparison.
 
 Everything here works over a *joint evaluation context*: the configurations
-(memory set, world) of one or more models laid out as bit positions, so that
-the meaning of a formula in the context is a single integer bitmask.  Two
-formulas with the same bitmask are indistinguishable by any of the context's
-models, which makes deduplication exact rather than heuristic.
+(memory set, world) of one or more models, one ``configs.ConfigTable`` per
+model, laid out as bit positions, so that the meaning of a formula in the
+context is a single integer bitmask.  Two formulas with the same bitmask are
+indistinguishable by any of the context's models, which makes deduplication
+exact rather than heuristic.
 
 Each operator that moves a configuration (a diamond or double diamond along
-a relation, remember, forget, erase, a jump ``@i``) is compiled on first use
-into one predecessor table: entry t is the mask of the configurations that
-one application of the operator moves to t.  The operator's meaning is the
+a relation, remember, forget, erase, a jump ``@i``) is a ``configs.Op``,
+compiled on first use from the tables' moves, each read once, into one
+predecessor table: entry t is the mask of the configurations that one
+application of the operator moves to t.  The operator's meaning is the
 preimage of its argument, the union of the entries at the argument's bits
 (the bottom-up labelling of Clarke, Emerson & Sistla, TOPLAS 1986); a box is
 the dual of its diamond.  The context lists its atoms and its depth-0
@@ -50,10 +52,10 @@ import heapq
 from bisect import bisect_left
 from collections import deque
 from functools import partial
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable
 
-from .configs import close, closure_formula, closures, step_memory
+from .configs import ConfigTable, Op, closure_formula, closures
 from .equivalence import conditions_for, fixpoint_separator
 from .errors import (
     BudgetExceededError,
@@ -93,14 +95,7 @@ from .syntax import (
 
 MEMORY_CHANGING = frozenset({"remember", "forget", "erase", "ddiamond", "dbox"})
 
-# Each box is evaluated as the dual of its diamond.
-_DIAMOND_OF = {"box": "diamond", "dbox": "ddiamond"}
-
 MAX_CONFIGS = 2**20
-
-
-def _needs_memory_table(spec: LogicSpec) -> bool:
-    return bool(spec.operators & MEMORY_CHANGING)
 
 
 def _mem_subsets(worlds: tuple[str, ...]) -> list[frozenset[str]]:
@@ -113,16 +108,18 @@ def _mem_subsets(worlds: tuple[str, ...]) -> list[frozenset[str]]:
 class EvalContext:
     """Configuration tables and bitmask semantics over a tuple of models.
 
-    For dialects with memory-changing operators the table holds every
-    (memory subset, world) configuration of each model; otherwise each model
-    contributes only its own fixed memory.  Nominal-aware dialects require
-    all models to assign exactly the same nominal names.
+    Each model's configurations live in one ``configs.ConfigTable``; for
+    dialects with memory-changing operators it holds every (memory subset,
+    world) configuration, otherwise only the model's own fixed memory.  The
+    tables are interned in bit order (model, then memory subset, then world),
+    so configuration c of model k is bit ``offsets[k] + c``.  Nominal-aware
+    dialects require all models to assign exactly the same nominal names.
 
     ``atoms`` lists (formula, meaning) for the propositions, then ``known``,
     then the nominals, as the dialect allows; ``updates`` lists (formula
     builder, mask transform) for negation, then the closure updates in
     ``configs.closures`` order.  ``pre`` is the one preimage routine behind
-    every operator.
+    every operator, keyed by ``configs.Op``.
     """
 
     def __init__(self, spec: LogicSpec, models: list[KripkeModel] | tuple[KripkeModel, ...]):
@@ -137,7 +134,8 @@ class EvalContext:
                     "nominal comparison requires all models to assign the same nominals"
                 )
         self.noms = sorted(self.models[0].noms) if self.models else []
-        self.memory_table = _needs_memory_table(spec)
+        conds = conditions_for(spec)
+        self.memory_table = conds.memory_active
 
         # Checked before building: each model contributes 2^|W|*|W|
         # configurations with a memory table, |W| without.
@@ -146,26 +144,27 @@ class EvalContext:
         )
         if size > MAX_CONFIGS:
             raise StateSpaceExceededError(MAX_CONFIGS)
-        self.configs: list[tuple[int, frozenset[str], str]] = []
-        self.index: dict[tuple[int, frozenset[str], str], int] = {}
-        for k, m in enumerate(self.models):
-            mems = _mem_subsets(m.worlds) if self.memory_table else [frozenset(m.mem)]
-            for mem in mems:
+        self.tables = [ConfigTable(m, self.props, True, self.noms) for m in self.models]
+        for m, table in zip(self.models, self.tables):
+            for mem in _mem_subsets(m.worlds) if self.memory_table else [frozenset(m.mem)]:
                 for w in m.worlds:
-                    self.index[(k, mem, w)] = len(self.configs)
-                    self.configs.append((k, mem, w))
-        n = len(self.configs)
-        self.full = (1 << n) - 1
+                    table.intern(mem, w)
+        self.offsets = [0, *accumulate(len(table.configs) for table in self.tables)]
+        self.configs: list[tuple[int, frozenset[str], str]] = [
+            (k, c.mem, c.world) for k, table in enumerate(self.tables) for c in table.configs
+        ]
+        self.full = (1 << len(self.configs)) - 1
 
-        self.prop_mask = {
-            p: self._mask_of(lambda k, mem, w, p=p: w in self.models[k].val.get(p, frozenset()))
-            for p in self.props
-        }
-        self.known_mask = self._mask_of(lambda k, mem, w: w in mem)
-        self.nom_mask = {
-            i: self._mask_of(lambda k, mem, w, i=i: self.models[k].noms.get(i) == w)
-            for i in self.noms
-        }
+        # signature bit j -> the mask of the configurations that have it
+        masks = [0] * (len(self.props) + 1 + len(self.noms))
+        for b, s in enumerate(s for table in self.tables for s in table.sig):
+            while s:
+                j = s.bit_length() - 1
+                masks[j] |= 1 << b
+                s ^= 1 << j
+        self.prop_mask = dict(zip(self.props, masks))
+        self.known_mask = masks[len(self.props)]
+        self.nom_mask = dict(zip(self.noms, masks[len(self.props) + 1 :]))
         self.atoms: list[tuple[Formula, int]] = [(Prop(p), self.prop_mask[p]) for p in self.props]
         if spec.allows("known"):
             self.atoms.append((Known(), self.known_mask))
@@ -174,52 +173,31 @@ class EvalContext:
         self.updates: list[tuple[Callable[[Formula], Formula], Callable[[int], int]]] = []
         if spec.has_negation:
             self.updates.append((Not, self.not_t))
-        for op in closures(conditions_for(spec), self.noms):
-            self.updates.append((partial(closure_formula, *op), partial(self.pre, op)))
-        self._tables: dict[tuple[str, str | None], list[int]] = {}
-
-    def _mask_of(self, pred) -> int:
-        out = 0
-        for b, (k, mem, w) in enumerate(self.configs):
-            if pred(k, mem, w):
-                out |= 1 << b
-        return out
+        for kind, nom in closures(conds, self.noms):
+            self.updates.append(
+                (partial(closure_formula, kind, nom), partial(self.pre, ("close", kind, nom)))
+            )
+        self._pre_tables: dict[Op, list[int]] = {}
 
     def bit_of(self, model_index: int, mem: frozenset[str], world: str) -> int:
-        return self.index[(model_index, frozenset(mem), world)]
+        return self.offsets[model_index] + self.tables[model_index].ids[(frozenset(mem), world)]
 
     def start_bit(self, model_index: int, world: str) -> int:
         """The bit of (the model's own memory, world)."""
-        m = self.models[model_index]
-        return self.index[(model_index, frozenset(m.mem), world)]
+        return self.bit_of(model_index, self.models[model_index].mem, world)
 
     # -- mask transforms ------------------------------------------------------
 
-    def _table(self, op: tuple[str, str | None]) -> list[int]:
-        """The operator's predecessor table, built on first use: entry t is
-        the mask of the configurations one application of op moves to t.
-        op is ("diamond" | "ddiamond", rel), ("remember" | "forget" |
-        "erase", None) or ("nom", i)."""
-        table = self._tables.get(op)
-        if table is None:
-            kind, arg = op
-            table = [0] * len(self.configs)
-            for b, (k, mem, w) in enumerate(self.configs):
-                model = self.models[k]
-                if kind in ("diamond", "ddiamond"):
-                    after = step_memory(mem, w, kind == "ddiamond")
-                    targets = [(after, v) for v in model.successors(arg, w)]
-                else:
-                    targets = [close(kind, arg, model, mem, w)]
-                for target in targets:
-                    table[self.index[(k, *target)]] |= 1 << b
-            self._tables[op] = table
-        return table
-
-    def pre(self, op: tuple[str, str | None], m: int) -> int:
+    def pre(self, op: Op, m: int) -> int:
         """The configurations that op moves into m: the meaning of op's
         diamond or closure operator applied to a formula meaning m."""
-        table = self._table(op)
+        table = self._pre_tables.get(op)
+        if table is None:
+            table = self._pre_tables[op] = [0] * len(self.configs)
+            for config_table, off in zip(self.tables, self.offsets):
+                for c in range(len(config_table.configs)):
+                    for d in config_table.move(op, c):
+                        table[off + d] |= 1 << (off + c)
         out = 0
         bits = bin(m)[:1:-1]  # least significant bit first
         t = bits.find("1")
@@ -233,10 +211,12 @@ class EvalContext:
 
     def modal_t(self, operator: str, rel: str, m: int) -> int:
         """The meaning of operator (diamond, box, ddiamond, dbox) along rel
-        applied to a formula meaning m; the boxes are the dual diamonds."""
-        if operator in _DIAMOND_OF:
-            return self.not_t(self.pre((_DIAMOND_OF[operator], rel), self.not_t(m)))
-        return self.pre((operator, rel), m)
+        applied to a formula meaning m: a step along rel, traced for the
+        double modalities; the boxes are the dual diamonds."""
+        op = ("step", rel, self._checked(operator) in ("ddiamond", "dbox"))
+        if operator in ("box", "dbox"):
+            return self.not_t(self.pre(op, self.not_t(m)))
+        return self.pre(op, m)
 
     # -- full evaluator --------------------------------------------------------
 
@@ -264,15 +244,16 @@ class EvalContext:
             case Iff(a, b):
                 return self.not_t(self.meaning(a) ^ self.meaning(b))
             case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
-                return self.modal_t(self._operator(phi), rel, self.meaning(sub))
-            case Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
-                op = ("nom", phi.nom) if isinstance(phi, At) else (self._operator(phi), None)
-                return self.pre(op, self.meaning(sub))
+                return self.modal_t(type(phi).__name__.lower(), rel, self.meaning(sub))
+            case Remember(sub) | Forget(sub) | Erase(sub):
+                kind = self._checked(type(phi).__name__.lower())
+                return self.pre(("close", kind, None), self.meaning(sub))
+            case At(nom, sub):
+                return self.pre(("close", "nom", nom), self.meaning(sub))
         raise TypeError(f"not a formula: {phi!r}")
 
-    def _operator(self, phi: Formula) -> str:
-        """The operator's name, checked against the configuration table."""
-        name = type(phi).__name__.lower()
+    def _checked(self, name: str) -> str:
+        """The operator name, checked against the configuration table."""
         if name in MEMORY_CHANGING and not self.memory_table:
             raise OperatorNotInDialectError(name, self.spec.name)
         return name
@@ -451,7 +432,7 @@ class JointPartition:
                 seeded.add(cell)
                 chi = conjoin_sorted(self.conjuncts[cell])
                 seeds.extend(
-                    (modality(self.spec, op, r, chi), ctx.pre((op, r), cell)) for op, r in diamonds
+                    (modality(self.spec, op, r, chi), ctx.modal_t(op, r, cell)) for op, r in diamonds
                 )
             changed = wave(seeds)
             if not changed:
@@ -518,7 +499,8 @@ def _with_entry(entries: tuple, entry: tuple[str, Formula]) -> tuple:
 
 
 def _relational_route(spec: LogicSpec) -> bool:
-    return not (_needs_memory_table(spec) or spec.allows("at"))
+    conds = conditions_for(spec)
+    return not (conds.memory_active or conds.nom)
 
 
 def separating_formula(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .configs import Config, PairSpace, initial_pair
-from .errors import IllegalMoveError, StateSpaceExceededError
+from .errors import IllegalMoveError, InvariantViolationError, StateSpaceExceededError
 from .equivalence import conditions_for
 from .kripke import KripkeModel
 from .syntax import LogicSpec
@@ -100,6 +100,8 @@ class Game:
         self._space = PairSpace(self.conds, left, right)
 
     def initial(self, w: str, v: str, *, rounds: int | None = None) -> GameState:
+        if rounds is not None and rounds < 0:
+            raise InvariantViolationError(f"rounds must be at least 0, got {rounds}")
         self.left.require_world(w)
         self.right.require_world(v)
         c1, c2 = initial_pair(self.left, w, self.right, v)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import semantics
 from .analysis import minimize_map
 from .equivalence import bisimilar
+from .errors import InvariantViolationError
 from .fo import fo_check
 from .games import solve_game
 from .kripke import GenParams, KripkeModel, SplitMix64, random_model
@@ -320,6 +321,8 @@ def minimization_suite(seed: int = 2026, cases: int = 60) -> SuiteReport:
 
 
 def run_all(seed: int = 2026, cases: int = 60) -> list[SuiteReport]:
+    if cases < 0:
+        raise InvariantViolationError(f"cases must be at least 0, got {cases}")
     return [
         translation_suite(seed, max(cases, 2 * len(DIALECTS))),
         relation_theory_suite(seed, cases),

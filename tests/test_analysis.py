@@ -21,6 +21,7 @@ from modalkit.analysis import (
     minimize,
     minimize_map,
 )
+from modalkit.enumeration import EvalContext, JointPartition
 from modalkit.equivalence import bisimilar
 from modalkit.errors import (
     BudgetExceededError,
@@ -248,6 +249,22 @@ def test_definability_mixed_nominals():
     assert out == DefinabilityResult("not_closed", witness=("a_plain", "b_plain"))
     with pytest.raises(InvariantViolationError):
         definability_check(DIALECTS["hl"], universe, {"c_named"})
+
+
+@pytest.mark.parametrize("dialect, nom_mask, cells", [("bml", 0b1, 1), ("ml-full", 0b11, 2)])
+def test_mixed_nominals_without_nominal_operators(dialect, nom_mask, cells):
+    """A dialect without nominals compares models that name different
+    nominals, the first model naming one: the context keeps the first
+    model's nominal masks (the other model sets no bit), and the partition
+    and the definability check build on it."""
+    plain = PointedModel(KripkeModel(("a",), {"r": frozenset()}), "a")
+    named = PointedModel(KripkeModel(("a",), {"r": frozenset()}, noms={"i": "a"}), "a")
+    spec = DIALECTS[dialect]
+    assert EvalContext(spec, [named.model, plain.model]).nom_mask == {"i": nom_mask}
+    assert len(JointPartition(spec, [named.model, plain.model]).cells) == cells
+    universe = _universe(a_named=named, b_plain=plain)
+    out = definability_check(spec, universe, {"a_named"})
+    assert out == DefinabilityResult("not_closed", witness=("a_named", "b_plain"))
 
 
 def test_definability_unknown_member():

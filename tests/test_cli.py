@@ -5,8 +5,10 @@ stderr, and the exit code; one smoke test runs the installed console script
 in a subprocess.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from modalkit import semantics
 from modalkit.kripke import GenParams, random_model, save_model
 from modalkit.syntax import MAX_FORMULA_DEPTH, Signature
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 REFL = str(FIXTURES / "reflexive.km")
 CYC = str(FIXTURES / "two_cycle.km")
 FOUR = str(FIXTURES / "four_world.km")
@@ -285,6 +288,14 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: line 2:")
+    missing = str(tmp_path / "no_universe")
+    for argv, message in (
+        (("suite", "--cases", "-1"), "error: cases must be at least 0, got -1"),
+        (("game", REFL, CYC, "--rounds", "-2"), "error: rounds must be at least 0, got -2"),
+        (("define", "--universe", missing, "--members", "a"), f"error: no universe directory {missing!r}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message + "\n")
 
 
 @pytest.mark.parametrize("shape", sorted(NESTED))
@@ -309,10 +320,13 @@ def test_argparse_rejections():
 
 
 def test_console_script_smoke():
+    # the sources on the child's path too, so this runs without an install
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "modalkit.cli", "check", "-m", REFL, "-f", "<r>true"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "true\n"

@@ -11,13 +11,15 @@ bounded equivalence.
 """
 
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIG, fixture_model, models, sig_for
+from conftest import SIG, SIG_NOM, fixture_model, models, sig_for
 from modalkit import enumeration
+from modalkit.configs import MEMORY_UPDATES, close, step_memory
 from modalkit.enumeration import (
     EvalContext,
     JointPartition,
@@ -94,9 +96,12 @@ def test_context_rejects_mismatched_nominals():
 
 
 def test_context_rejects_memory_ops_without_table():
-    ctx = EvalContext(BML, [M2])
+    ctx = EvalContext(BML, [M2, M2])
     with pytest.raises(OperatorNotInDialectError):
         ctx.meaning(Remember(Top()))
+    # a traced step would leave the first model's configurations
+    with pytest.raises(OperatorNotInDialectError):
+        ctx.modal_t("ddiamond", "r", 1)
 
 
 def test_context_capped(monkeypatch):
@@ -135,6 +140,70 @@ def test_meaning_matches_checker(data):
         m = mods[k]
         at_mem = KripkeModel(m.worlds, m.rels, m.val, mem, m.noms)
         assert ((mask >> b) & 1) == check(at_mem, w, phi), print_formula(phi)
+
+
+def _index_layout(spec, mods):
+    """The configuration layout EvalContext kept before it read its
+    configurations from ConfigTables, kept as the reference: the
+    (k, mem, w) list (model, then memory subsets by size and then in
+    combination order, then world), its atom masks, and each operator's
+    predecessor table built directly from configs.close and
+    configs.step_memory."""
+    memory = bool(spec.operators & enumeration.MEMORY_CHANGING)
+    configs = []
+    for k, m in enumerate(mods):
+        if memory:
+            mems = [frozenset(c) for n in range(len(m.worlds) + 1) for c in combinations(m.worlds, n)]
+        else:
+            mems = [frozenset(m.mem)]
+        configs.extend((k, mem, w) for mem in mems for w in m.worlds)
+    index = {c: b for b, c in enumerate(configs)}
+
+    def mask_of(pred):
+        return sum(1 << b for b, (k, mem, w) in enumerate(configs) if pred(mods[k], mem, w))
+
+    def table(op):
+        tag, a, b = op
+        out = [0] * len(configs)
+        for bit, (k, mem, w) in enumerate(configs):
+            m = mods[k]
+            if tag == "step":
+                targets = [(step_memory(mem, w, b), v) for v in m.successors(a, w)]
+            else:
+                targets = [close(a, b, m, mem, w)]
+            for target in targets:
+                out[index[(k, *target)]] |= 1 << bit
+        return out
+
+    return configs, index, mask_of, table
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_layout_matches_index_oracle(data):
+    """EvalContext's ConfigTable layout is the (k, mem, w) index layout bit
+    for bit: the configuration list, every bit, the atom masks and every
+    operator's predecessor table (entry t read as ``pre(op, 1 << t)``)."""
+    spec = DIALECTS[data.draw(st.sampled_from(sorted(DIALECTS)))]
+    mods = data.draw(
+        st.lists(models(sig=SIG_NOM, max_worlds=3, allow_mem=True), min_size=1, max_size=2)
+    )
+    ctx = EvalContext(spec, mods)
+    configs, index, mask_of, table = _index_layout(spec, mods)
+    assert ctx.configs == configs
+    assert all(ctx.bit_of(*c) == b for c, b in index.items())
+    assert ctx.prop_mask == {
+        p: mask_of(lambda m, mem, w, p=p: w in m.val.get(p, ())) for p in ctx.props
+    }
+    assert ctx.known_mask == mask_of(lambda m, mem, w: w in mem)
+    assert ctx.nom_mask == {i: mask_of(lambda m, mem, w, i=i: m.noms[i] == w) for i in ctx.noms}
+    traced = (False, True) if ctx.memory_table else (False,)
+    ops = [("step", r, t) for r in ctx.rels for t in traced]
+    if ctx.memory_table:
+        ops.extend(("close", kind, None) for kind in MEMORY_UPDATES)
+    ops.extend(("close", "nom", i) for i in ctx.noms)
+    for op in ops:
+        assert [ctx.pre(op, 1 << t) for t in range(len(configs))] == table(op), op
 
 
 # ---------------------------------------------------------------------------
