@@ -239,6 +239,9 @@ def definability_check(
     the partition's characteristics of the members inside completes the
     search.
     """
+    for bound, value in (("depth", max_depth), ("budget", budget)):
+        if value < 0:
+            raise InvariantViolationError(f"{bound} must be at least 0, got {value}")
     wanted = set(members)
     for name in wanted:
         if name not in universe.names:

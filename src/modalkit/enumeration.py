@@ -49,7 +49,6 @@ the rest.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from collections import deque
 from functools import partial
 from itertools import accumulate, combinations
@@ -62,6 +61,7 @@ from .errors import (
     InvariantViolationError,
     OperatorNotInDialectError,
     StateSpaceExceededError,
+    UnassignedNominalError,
     UnsupportedFeaturesError,
 )
 from .kripke import KripkeModel, PointedModel
@@ -223,6 +223,10 @@ class EvalContext:
     def meaning(self, phi: Formula) -> int:
         """The formula's bitmask over the whole configuration table."""
         match phi:
+            case Nom(nom) | At(nom, _) if nom not in self.nom_mask or any(
+                nom not in m.noms for m in self.models
+            ):
+                raise UnassignedNominalError(nom)
             case Top():
                 return self.full
             case Bottom():
@@ -353,11 +357,11 @@ class JointPartition:
     ``tests`` lists the formulas that split some class, with their meanings,
     in split order; ``paths`` maps each class to the signed tests (the test
     where the class fell inside, its negation where it fell outside) on its
-    way down from the whole space, and ``conjuncts`` the same tests as
-    (rendered text, formula) entries sorted by text, each rendered once at
-    its split.  The first test that tells two classes apart is the one that
-    split their last common ancestor, so both queries below read a path
-    instead of searching the tests.
+    way down from the whole space, in split order, as (rendered text,
+    formula) entries each rendered once at its split.  The first test that
+    tells two classes apart is the one that split their last common
+    ancestor, so both queries below read a path instead of searching the
+    tests.
     """
 
     def __init__(
@@ -377,10 +381,7 @@ class JointPartition:
         self.tests: list[tuple[Formula, int]] = []
         self.cells: list[int] = [self.ctx.full] if self.ctx.full else []
         # cell -> the signed tests that carved it out, in split order
-        self.paths: dict[int, tuple[Formula, ...]] = {cell: () for cell in self.cells}
-        self.conjuncts: dict[int, tuple[tuple[str, Formula], ...]] = {
-            cell: () for cell in self.cells
-        }
+        self.paths: dict[int, tuple[tuple[str, Formula], ...]] = {cell: () for cell in self.cells}
         self.depth = 0
         self.saturated = False
         self._run(max_depth, max_tests)
@@ -430,14 +431,11 @@ class JointPartition:
                 if cell in seeded:
                     continue
                 seeded.add(cell)
-                chi = conjoin_sorted(self.conjuncts[cell])
+                chi = _conjunction(self.paths[cell])
                 seeds.extend(
                     (modality(self.spec, op, r, chi), ctx.modal_t(op, r, cell)) for op, r in diamonds
                 )
             changed = wave(seeds)
-            if not changed:
-                self.saturated = True
-                return
 
     def _apply(self, phi: Formula, mask: int) -> bool:
         split_any = False
@@ -452,10 +450,8 @@ class JointPartition:
                     split_any = True
                 new_cells.extend((inside, outside))
                 path = self.paths.pop(cell)
-                entries = self.conjuncts.pop(cell)
                 for child, entry in zip((inside, outside), signed):
-                    self.paths[child] = (*path, entry[1])
-                    self.conjuncts[child] = _with_entry(entries, entry)
+                    self.paths[child] = (*path, entry)
             else:
                 new_cells.append(cell)
         if split_any:
@@ -474,7 +470,7 @@ class JointPartition:
     def characteristic(self, bit: int) -> Formula:
         """A formula true exactly on the bit's meaning class: the conjunction
         of the signed tests on its split path."""
-        return conjoin_sorted(self.conjuncts[self.cells[self.cell_index_of(bit)]])
+        return _conjunction(self.paths[self.cells[self.cell_index_of(bit)]])
 
     def separator_between(self, bit_true: int, bit_false: int) -> Formula | None:
         """A minimal-wave formula true at the first configuration and false
@@ -483,24 +479,17 @@ class JointPartition:
         mine = self.paths[self.cells[self.cell_index_of(bit_true)]]
         theirs = self.paths[self.cells[self.cell_index_of(bit_false)]]
         # paths share their common prefix object for object
-        return next((a for a, b in zip(mine, theirs) if a is not b), None)
+        return next((a[1] for a, b in zip(mine, theirs) if a is not b), None)
 
 
-def _with_entry(entries: tuple, entry: tuple[str, Formula]) -> tuple:
-    """The sorted (text, formula) entries with one more, which replaces an
-    entry of the same text as ``conjoin`` keeps the last of equal texts."""
-    i = bisect_left(entries, entry[0], key=lambda e: e[0])
-    j = i + 1 if i < len(entries) and entries[i][0] == entry[0] else i
-    return (*entries[:i], entry, *entries[j:])
+def _conjunction(path: tuple[tuple[str, Formula], ...]) -> Formula:
+    """``conjoin`` of a path's formulas: sorted by text, keeping the last
+    of equal texts."""
+    return conjoin_sorted(sorted(dict(path).items()))
 
 
 # ---------------------------------------------------------------------------
 # Dialect-routed entry points
-
-
-def _relational_route(spec: LogicSpec) -> bool:
-    conds = conditions_for(spec)
-    return not (conds.memory_active or conds.nom)
 
 
 def separating_formula(
@@ -519,9 +508,12 @@ def separating_formula(
     For negation-free dialects the question is inherently one-directional:
     None only says nothing separates in this direction at this depth.
     """
+    if depth < 0:
+        raise InvariantViolationError(f"depth must be at least 0, got {depth}")
     left.require_world(w)
     right.require_world(v)
-    if _relational_route(spec):
+    conds = conditions_for(spec)
+    if not (conds.memory_active or conds.nom):
         return fixpoint_separator(spec, left, w, right, v, depth, MAX_CONFIGS)
     if not spec.has_negation:
         raise UnsupportedFeaturesError(
@@ -542,23 +534,10 @@ def equivalent_up_to(
     max_tests: int = 500_000,
 ) -> bool:
     """Do the two points satisfy exactly the same formulas of the dialect up
-    to the given modal depth?  Always the symmetric question, including for
-    negation-free dialects (both directed inclusions are checked)."""
-    left.require_world(w)
-    right.require_world(v)
-    if not _relational_route(spec):
-        if not spec.has_negation:
-            raise UnsupportedFeaturesError(
-                "bounded comparison for memory or jump dialects needs negation in the dialect"
-            )
-        part = JointPartition(spec, [left, right], max_depth=depth, max_tests=max_tests)
-        a = part.cell_index_of(part.ctx.start_bit(0, w))
-        b = part.cell_index_of(part.ctx.start_bit(1, v))
-        return a == b
-
-    def separated(a: KripkeModel, x: str, b: KripkeModel, y: str) -> bool:
-        return fixpoint_separator(spec, a, x, b, y, depth, MAX_CONFIGS) is not None
-
-    if spec.has_negation:
-        return not separated(left, w, right, v)
-    return not separated(left, w, right, v) and not separated(right, v, left, w)
+    to the given modal depth?  Always the symmetric question: for
+    negation-free dialects ``separating_formula`` is asked both ways."""
+    directions = [(left, w, right, v)] + ([] if spec.has_negation else [(right, v, left, w)])
+    return all(
+        separating_formula(spec, a, x, b, y, depth=depth, max_tests=max_tests) is None
+        for a, x, b, y in directions
+    )

@@ -57,7 +57,7 @@ from .configs import (
     initial_pair,
     pair_key,
 )
-from .errors import StateSpaceExceededError
+from .errors import InvariantViolationError, StateSpaceExceededError
 from .kripke import KripkeModel
 from .syntax import (
     Formula,
@@ -370,6 +370,8 @@ def _solve(
     max_pairs: int,
     distinguisher_depth: int,
 ) -> SimulationOutcome:
+    if distinguisher_depth < 0:
+        raise InvariantViolationError(f"depth must be at least 0, got {distinguisher_depth}")
     left.require_world(w)
     right.require_world(v)
     engine = _Engine(conds, left, right, max_pairs)

@@ -20,8 +20,8 @@ Spoiler ply consumes one round and Duplicator wins when the rounds run out;
 in the unbounded game Duplicator wins every infinite play.
 
 Unbounded games are solved by a least-fixpoint attractor over the reachable
-position graph, bounded games by memoized recursion; both return a strategy
-for the winner.
+position graph, bounded games by a memoized depth-first search on an
+explicit stack; both return a strategy for the winner.
 """
 
 from __future__ import annotations
@@ -229,23 +229,33 @@ class Game:
         value: dict[GameState, str] = {}
         best: dict[GameState, Move] = {}
 
-        def val(s: GameState) -> str:
-            if s in value:
-                return value[s]
+        def val(s: GameState):
+            """The memoized search at s, as a generator: it yields each
+            unsolved successor and reads its value once the driver below has
+            solved it, so deep games need no Python recursion."""
             if len(value) >= max_positions:
                 raise StateSpaceExceededError(max_positions)
             res, legal = self._visit(s)
             if res is None:
                 res = "duplicator" if s.turn == "spoiler" else "spoiler"
                 for m in legal:
-                    if val(self._apply_unchecked(s, m)) == s.turn:
+                    t = self._apply_unchecked(s, m)
+                    if t not in value:
+                        yield t
+                    if value[t] == s.turn:
                         res = s.turn
                         best[s] = m
                         break
             value[s] = res
-            return res
 
-        winner = val(state)
+        stack = [val(state)]
+        while stack:
+            t = next(stack[-1], None)
+            if t is None:
+                stack.pop()
+            else:
+                stack.append(val(t))
+        winner = value[state]
         strategy = {
             s: m for s, m in best.items() if s.turn == winner and value.get(s) == winner
         }

@@ -267,6 +267,14 @@ def test_mixed_nominals_without_nominal_operators(dialect, nom_mask, cells):
     assert out == DefinabilityResult("not_closed", witness=("a_named", "b_plain"))
 
 
+def test_definability_rejects_negative_bounds():
+    for bounds in ({"max_depth": -2}, {"budget": -1}):
+        with pytest.raises(InvariantViolationError, match="must be at least 0"):
+            definability_check(ML, TWO, {"lit"}, **bounds)
+    # a budget of 0 stays legal: the search is exhausted at once
+    assert definability_check(BML_MINUS, TWO, {"lit"}, budget=0).status == "exhausted"
+
+
 def test_definability_unknown_member():
     with pytest.raises(UnknownNameError):
         definability_check(BML, TWO, {"nope"})

@@ -172,6 +172,10 @@ def test_game_bounded_rounds(capsys):
     code, out, _ = run(capsys, "game", REFL, CYC, "-d", "ml-diamond", "--rounds", "1")
     assert code == 0
     assert out.splitlines()[0] == "winner: duplicator"
+    # deep bounded games are solved without Python recursion
+    code, out, _ = run(capsys, "game", REFL, CYC, "--rounds", "500")
+    assert code == 0
+    assert out.splitlines()[0] == "winner: duplicator"
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +293,17 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: line 2:")
     missing = str(tmp_path / "no_universe")
+    universe = tmp_path / "universe"
+    universe.mkdir()
+    (universe / "lit.km").write_text("worlds: a\nval p: a\npoint: a\n")
+    define_lit = ("define", "--universe", str(universe), "--members", "lit")
     for argv, message in (
         (("suite", "--cases", "-1"), "error: cases must be at least 0, got -1"),
         (("game", REFL, CYC, "--rounds", "-2"), "error: rounds must be at least 0, got -2"),
         (("define", "--universe", missing, "--members", "a"), f"error: no universe directory {missing!r}"),
+        ((*define_lit, "--depth", "-2", "-d", "ml-diamond"), "error: depth must be at least 0, got -2"),
+        ((*define_lit, "--budget", "-1"), "error: budget must be at least 0, got -1"),
+        (("bisim", REFL, CYC, "-d", "ml-diamond", "--depth", "-1"), "error: depth must be at least 0, got -1"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", message + "\n")

@@ -35,14 +35,17 @@ from modalkit.errors import (
     InvariantViolationError,
     OperatorNotInDialectError,
     StateSpaceExceededError,
+    UnassignedNominalError,
     UnsupportedFeaturesError,
 )
 from modalkit.kripke import KripkeModel, PointedModel
 from modalkit.semantics import check
 from modalkit.syntax import (
     DIALECTS,
+    At,
     Diamond,
     LogicSpec,
+    Nom,
     Not,
     Prop,
     Remember,
@@ -102,6 +105,23 @@ def test_context_rejects_memory_ops_without_table():
     # a traced step would leave the first model's configurations
     with pytest.raises(OperatorNotInDialectError):
         ctx.modal_t("ddiamond", "r", 1)
+
+
+@pytest.mark.parametrize("dialect", ["bml", "hl-at"])
+def test_meaning_rejects_unassigned_nominals(dialect):
+    """A jump to, or a test for, a nominal that some model of the context
+    does not assign is the evaluator's error, not a lookup failure."""
+    named = KripkeModel(("a",), {"r": frozenset()}, noms={"i": "a"})
+    plain = KripkeModel(("a",), {"r": frozenset()})
+    spec = DIALECTS[dialect]
+    ctx = EvalContext(spec, [named] if spec.allows("nominal") else [named, plain])
+    if not spec.allows("nominal"):
+        with pytest.raises(UnassignedNominalError):
+            ctx.meaning(At("i", Prop("p")))
+    with pytest.raises(UnassignedNominalError):
+        ctx.meaning(Nom("j"))
+    with pytest.raises(UnassignedNominalError):
+        ctx.meaning(At("j", Top()))
 
 
 def test_context_capped(monkeypatch):
@@ -457,6 +477,21 @@ def test_separating_formula_none_for_isomorphic():
     copy = KripkeModel(("z",), {"r": frozenset({("z", "z")})}, {})
     assert separating_formula(BML, refl, a, copy, "z", depth=4) is None
     assert separating_formula(ML, refl, a, copy, "z", depth=4) is None
+
+
+@pytest.mark.parametrize("dialect", ["bml", "bml-minus", "ml-diamond"])
+def test_negative_depth_is_rejected(dialect):
+    """A negative bound is an error on every route, not a depth-0 answer on
+    one route and "no separator" on another."""
+    lit = KripkeModel(("a",), {}, {"p": frozenset({"a"})})
+    unlit = KripkeModel(("a",), {}, {"p": frozenset()})
+    spec = DIALECTS[dialect]
+    with pytest.raises(InvariantViolationError, match="depth must be at least 0, got -1"):
+        separating_formula(spec, lit, "a", unlit, "a", depth=-1)
+    with pytest.raises(InvariantViolationError):
+        equivalent_up_to(spec, lit, "a", unlit, "a", -1)
+    assert separating_formula(spec, lit, "a", unlit, "a", depth=0) == Prop("p")
+    assert not equivalent_up_to(spec, lit, "a", unlit, "a", 0)
 
 
 def test_memory_without_negation_is_rejected():

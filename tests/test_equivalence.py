@@ -153,6 +153,14 @@ def test_distinguisher_search_can_be_skipped():
     assert not out.related and out.distinguisher is None
 
 
+def test_negative_distinguisher_depth_is_rejected():
+    refl, a = fixture_model("reflexive.km")
+    cyc, b = fixture_model("two_cycle.km")
+    for decide in (bisimilar, simulated_by):
+        with pytest.raises(InvariantViolationError, match="got -1"):
+            decide(ML, refl, a, cyc, b, distinguisher_depth=-1)
+
+
 def test_nominals_constrain_relatedness():
     named_loop = KripkeModel(("w",), {"r": frozenset({("w", "w")})}, {}, noms={"i": "w"})
     named_cycle = KripkeModel(

@@ -21,6 +21,7 @@ from modalkit.games import (
     ClosureMove,
     DuplicatorMove,
     Game,
+    GameResult,
     GameState,
     SpoilerMove,
     format_transcript,
@@ -145,6 +146,66 @@ def test_bounded_strategy_reaches_the_win():
     play = game.sample_play(start, result)
     states = game.replay(start, play)
     assert game.winner_at(states[-1]) == "spoiler"
+
+
+def test_deep_bounded_games():
+    """Thousands of rounds stay within Python's recursion limit."""
+    refl, a = fixture_model("reflexive.km")
+    cyc, b = fixture_model("two_cycle.km")
+    assert solve_game(BML, refl, a, cyc, b, rounds=5000).winner == "duplicator"
+    assert solve_game(ML, refl, a, cyc, b, rounds=5000).winner == "spoiler"
+
+
+def _recursive_bounded(game, state, max_positions):
+    """The bounded search as plain memoized recursion, kept as the
+    reference: successors in legal-move order, the first winning move
+    recorded, the position cap checked before each new position."""
+    value, best = {}, {}
+
+    def val(s):
+        if s in value:
+            return value[s]
+        if len(value) >= max_positions:
+            raise StateSpaceExceededError(max_positions)
+        res, legal = game._visit(s)
+        if res is None:
+            res = "duplicator" if s.turn == "spoiler" else "spoiler"
+            for m in legal:
+                if val(game._apply_unchecked(s, m)) == s.turn:
+                    res = s.turn
+                    best[s] = m
+                    break
+        value[s] = res
+        return res
+
+    winner = val(state)
+    return GameResult(
+        winner, {s: m for s, m in best.items() if s.turn == winner and value.get(s) == winner}
+    )
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_bounded_search_matches_recursive_reference(data):
+    spec = DIALECTS[data.draw(st.sampled_from(sorted(DIALECTS)))]
+    sig = sig_for(spec)
+    mem = spec.allows("known")
+    left = data.draw(models(sig=sig, max_worlds=2 if mem else 3, allow_mem=mem))
+    right = data.draw(models(sig=sig, max_worlds=2 if mem else 3, allow_mem=mem))
+    game = Game(spec, left, right)
+    start = game.initial(
+        data.draw(st.sampled_from(left.worlds)),
+        data.draw(st.sampled_from(right.worlds)),
+        rounds=data.draw(st.integers(0, 5)),
+    )
+    cap = data.draw(st.sampled_from([1, 5, 20, 200_000]))
+    try:
+        expected = _recursive_bounded(game, start, cap)
+    except StateSpaceExceededError:
+        with pytest.raises(StateSpaceExceededError):
+            game.solve(start, max_positions=cap)
+    else:
+        assert game.solve(start, max_positions=cap) == expected
 
 
 def test_position_caps():
