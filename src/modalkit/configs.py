@@ -224,6 +224,12 @@ class PairSpace:
         self.closures = closures(conds, self.noms)
         self.clauses = modal_clauses(conds)
 
+    def config_tables(self) -> tuple[ConfigTable, ...]:
+        """A new ``ConfigTable`` per side, with the signature bits that the
+        static conditions compare."""
+        known, noms = self.conds.kagree, self.noms if self.conds.nagree else ()
+        return tuple(ConfigTable(m, self.props, known, noms) for m in (self.left, self.right))
+
     def static_violation(self, pair: Pair) -> tuple | None:
         """The first atomic disagreement of the pair, or None."""
         c1, c2 = pair
@@ -252,16 +258,13 @@ class PairSpace:
                     return ("nagree", i, "right")
         return None
 
-    def close(self, kind: str, nominal: str | None, pair: Pair) -> Pair:
-        """Both sides after one closure update."""
-        c1, c2 = pair
-        return (
-            Config(*close(kind, nominal, self.left, c1.mem, c1.world)),
-            Config(*close(kind, nominal, self.right, c2.mem, c2.world)),
-        )
-
     def closure_images(self, pair: Pair) -> list[tuple[str, str | None, Pair]]:
-        return [(kind, nom, self.close(kind, nom, pair)) for kind, nom in self.closures]
+        """Each closure update with the pair it leads to."""
+        sides = list(zip((self.left, self.right), pair))
+        return [
+            (kind, nom, tuple(Config(*close(kind, nom, m, c.mem, c.world)) for m, c in sides))
+            for kind, nom in self.closures
+        ]
 
     def moves(
         self, pair: Pair, rel: str, side: str, traced: bool

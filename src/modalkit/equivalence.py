@@ -50,7 +50,6 @@ from dataclasses import dataclass, replace
 from .configs import (
     CLAUSES,
     Config,
-    ConfigTable,
     Pair,
     PairSpace,
     closure_formula,
@@ -154,11 +153,7 @@ class _Engine(PairSpace):
     ):
         super().__init__(conds, left, right)
         self.max_pairs = max_pairs
-        noms = self.noms if conds.nagree else ()
-        self.tables = (
-            ConfigTable(left, self.props, conds.kagree, noms),
-            ConfigTable(right, self.props, conds.kagree, noms),
-        )
+        self.tables = self.config_tables()
         # K bounds the right model's configuration count: |W| without
         # memory moves, |W| * 2^|W| with them.
         n = len(right.worlds)
@@ -314,24 +309,16 @@ class _Engine(PairSpace):
 _CLAUSE_OPERATOR = {"forth": "diamond", "back": "box", "mforth": "ddiamond", "mback": "dbox"}
 
 
-class _Tracer:
-    """Rebuild a distinguishing formula (true on the left, false on the
-    right) from the fixpoint's deletion reasons."""
+def _distinguisher(spec: LogicSpec, engine: _Engine, pair: Pair) -> Formula:
+    """Rebuild a distinguishing formula of a deleted pair (true on the left,
+    false on the right) from the fixpoint's deletion reasons.  Each pair's
+    ``build`` is a generator that yields the pairs whose formulas it needs;
+    they run on an explicit stack, so a formula may nest deeper than Python's
+    recursion limit."""
+    memo: dict[Pair, Formula] = {}
 
-    def __init__(self, spec: LogicSpec, engine: _Engine):
-        self.spec = spec
-        self.engine = engine
-        self.memo: dict[Pair, Formula] = {}
-
-    def trace(self, pair: Pair) -> Formula:
-        if pair in self.memo:
-            return self.memo[pair]
-        _, reason = self.engine.death(pair)
-        phi = self._build(pair, reason)
-        self.memo[pair] = phi
-        return phi
-
-    def _build(self, pair: Pair, reason: tuple) -> Formula:
+    def build(pair: Pair):
+        _, reason = engine.death(pair)
         match reason:
             case ("agree", p, "left"):
                 return Prop(p)
@@ -346,14 +333,30 @@ class _Tracer:
             case ("nagree", i, "right"):
                 return Not(Nom(i))
             case (("remember" | "forget" | "erase" | "nom") as kind, info, image):
-                return closure_formula(kind, info, self.trace(image))
+                return closure_formula(kind, info, (yield image))
             case (("forth" | "back" | "mforth" | "mback") as name, rel, target):
                 side, traced = CLAUSES[name]
-                _, replies, join = self.engine.moves(pair, rel, side, traced)
-                parts = [self.trace(join(target, u)) for u in replies]
+                _, replies, join = engine.moves(pair, rel, side, traced)
+                parts = []
+                for u in replies:
+                    parts.append((yield join(target, u)))
                 sub = conjoin(parts) if side == "left" else disjoin(parts)
-                return modality(self.spec, _CLAUSE_OPERATOR[name], rel, sub)
+                return modality(spec, _CLAUSE_OPERATOR[name], rel, sub)
         raise AssertionError(f"unknown deletion reason {reason!r}")
+
+    stack, sent = [(pair, build(pair))], None
+    while stack:
+        top, gen = stack[-1]
+        try:
+            need = gen.send(sent)
+        except StopIteration as done:
+            sent = memo[top] = done.value
+            stack.pop()
+        else:
+            sent = memo.get(need)
+            if sent is None:
+                stack.append((need, build(need)))
+    return sent
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,7 @@ def _solve(
 
         phi = separating_formula(spec, left, w, right, v, depth=distinguisher_depth)
         return SimulationOutcome(False, None, phi)
-    return SimulationOutcome(False, None, _Tracer(spec, engine).trace(initial))
+    return SimulationOutcome(False, None, _distinguisher(spec, engine, initial))
 
 
 def fixpoint_separator(
@@ -407,7 +410,7 @@ def fixpoint_separator(
     death = engine.death(initial)
     if death is None or death[0] > depth:
         return None
-    return _Tracer(spec, engine).trace(initial)
+    return _distinguisher(spec, engine, initial)
 
 
 def bisimilar(

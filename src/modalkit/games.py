@@ -19,14 +19,24 @@ has lost.  A Spoiler with no legal move has lost.  In the bounded game every
 Spoiler ply consumes one round and Duplicator wins when the rounds run out;
 in the unbounded game Duplicator wins every infinite play.
 
-Unbounded games are solved by a least-fixpoint attractor over the reachable
-position graph, bounded games by a memoized depth-first search on an
-explicit stack; both return a strategy for the winner.
+The solvers run on int tuples ``(a, b, slot, x, rounds)`` over one
+``configs.ConfigTable`` per model: configuration ids, the relation move
+awaiting a reply (slot -1 on Spoiler's turn, x its target's id) and the
+rounds left (None when unbounded).  ``_successors`` is the one move
+generator; moves and states are built only at the API edges.  The unbounded
+game is solved by an attractor in O(E log V) (Grädel, Thomas & Wilke, LNCS
+2500, 2002, ch. 2) whose ranks are those of staged passes over the positions
+in depth-first pop order, each pass seeing the ranks it gave earlier: when
+the position at pop index p gets rank k, a predecessor whose need is then
+met (one ranked successor for Spoiler, all for Duplicator) is queued for
+stage k if its index is above p, else for k + 1.  Bounded games are solved
+by a memoized depth-first search on an explicit stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .configs import Config, PairSpace, initial_pair
@@ -89,6 +99,9 @@ class GameResult:
     strategy: dict[GameState, Move]
 
 
+_TURN = ("spoiler", "duplicator")  # indexed by "is a reply pending"
+
+
 class Game:
     """The comparison game for one dialect over a fixed pair of models."""
 
@@ -97,7 +110,17 @@ class Game:
         self.left = left
         self.right = right
         self.conds = conditions_for(spec)
-        self._space = PairSpace(self.conds, left, right)
+        space = self._space = PairSpace(self.conds, left, right)
+        self._tables = space.config_tables()
+        one_way = self.conds.atomic_one_directional
+        self._agree = (lambda s1, s2: not s1 & ~s2) if one_way else int.__eq__
+        self._closure_ops = [("close", kind, nom) for kind, nom in space.closures]
+        # (rel, side, traced, op, mover's table index), in legal_moves order
+        self._slots = [
+            (rel, side, traced, ("step", rel, traced), side == "right")
+            for rel in space.rels
+            for _, side, traced in space.clauses
+        ]
 
     def initial(self, w: str, v: str, *, rounds: int | None = None) -> GameState:
         if rounds is not None and rounds < 0:
@@ -107,59 +130,83 @@ class Game:
         c1, c2 = initial_pair(self.left, w, self.right, v)
         return GameState(c1, c2, "spoiler", None, rounds)
 
+    def _position(self, state: GameState) -> tuple:
+        ids = [t.intern(c.mem, c.world) for t, c in zip(self._tables, (state.left, state.right))]
+        if state.turn == "spoiler":
+            return (*ids, -1, -1, state.rounds_left)
+        return (*self._follow((*ids, -1, -1, None), state.pending, 0)[:4], state.rounds_left)
+
+    def _state(self, pos: tuple) -> GameState:
+        (a, b, slot, x, rounds), (t1, t2) = pos, self._tables
+        pend = None if slot < 0 else self._spoiler_move(slot, x)
+        return GameState(t1.configs[a], t2.configs[b], _TURN[slot >= 0], pend, rounds)
+
+    def _spoiler_move(self, slot: int, x: int) -> SpoilerMove:
+        rel, side, traced, _, m = self._slots[slot]
+        return SpoilerMove(side, rel, self._tables[m].configs[x].world, traced)
+
+    def _move(self, pos: tuple, k: int, nxt: tuple) -> Move:
+        """The move that takes pos to nxt, its k-th successor."""
+        if pos[2] >= 0:
+            o = not self._slots[pos[2]][4]  # the replying side
+            return DuplicatorMove(self._tables[o].configs[nxt[o]].world)
+        if k < len(self._closure_ops):
+            return ClosureMove(*self._space.closures[k])
+        return self._spoiler_move(nxt[2], nxt[3])
+
     # -- rules -----------------------------------------------------------------
+
+    def _successors(self, pos: tuple) -> list[tuple]:
+        """Where the legal moves at pos lead, in legal_moves order, even if
+        pos is terminal; Duplicator's replies are statically valid."""
+        a, b, slot, x, rounds = pos
+        t1, t2 = tables = self._tables
+        if slot < 0:
+            rounds = None if rounds is None else rounds - 1
+            out = [
+                (t1.targets(op, a)[0], t2.targets(op, b)[0], -1, -1, rounds)
+                for op in self._closure_ops
+            ]
+            for k, (_, _, _, op, m) in enumerate(self._slots):
+                out.extend([(a, b, k, y, rounds) for y in tables[m].targets(op, pos[m])])
+            return out
+        _, _, _, op, m = self._slots[slot]
+        agree, sig1, sig2 = self._agree, t1.sig, t2.sig
+        if m:
+            return [(y, x, -1, -1, rounds) for y in t1.targets(op, a) if agree(sig1[y], sig2[x])]
+        return [(x, y, -1, -1, rounds) for y in t2.targets(op, b) if agree(sig1[x], sig2[y])]
+
+    def _visit(self, pos: tuple) -> tuple[str | None, list[tuple]]:
+        """The winner if pos is terminal, else None; and its successors."""
+        a, b, slot, _, rounds = pos
+        if slot < 0:
+            if not self._agree(self._tables[0].sig[a], self._tables[1].sig[b]):
+                return "spoiler", []
+            if rounds is not None and rounds <= 0:
+                return "duplicator", []
+        nxt = self._successors(pos)
+        return (None if nxt else _TURN[slot < 0]), nxt
 
     def winner_at(self, state: GameState) -> str | None:
         """The winner if the state is terminal, else None."""
-        return self._visit(state)[0]
-
-    def _visit(self, state: GameState) -> tuple[str | None, list[Move]]:
-        """winner_at and the legal moves, computed once; the moves are empty
-        at a terminal state."""
-        if state.turn == "spoiler":
-            if self._space.static_violation((state.left, state.right)) is not None:
-                return "spoiler", []
-            if state.rounds_left is not None and state.rounds_left <= 0:
-                return "duplicator", []
-        moves = self.legal_moves(state)
-        if not moves:
-            return ("duplicator" if state.turn == "spoiler" else "spoiler"), moves
-        return None, moves
+        return self._visit(self._position(state))[0]
 
     def legal_moves(self, state: GameState) -> list[Move]:
-        space = self._space
-        pair = (state.left, state.right)
-        if state.turn == "spoiler":
-            moves: list[Move] = [ClosureMove(kind, nom) for kind, nom in space.closures]
-            for rel in space.rels:
-                for _, side, traced in space.clauses:
-                    targets, _, _ = space.moves(pair, rel, side, traced)
-                    moves.extend(SpoilerMove(side, rel, t, traced) for t in targets)
-            return moves
-        pend = state.pending
-        if pend is None:
-            return []
-        _, replies, join = space.moves(pair, pend.rel, pend.side, pend.traced)
-        return [
-            DuplicatorMove(u)
-            for u in replies
-            if space.static_violation(join(pend.target, u)) is None
-        ]
+        pos = self._position(state)
+        return [self._move(pos, k, t) for k, t in enumerate(self._successors(pos))]
 
     def apply(self, state: GameState, move: Move) -> GameState:
         return self.replay(state, [move])[-1]
 
-    def _apply_unchecked(self, state: GameState, move: Move) -> GameState:
-        pair = (state.left, state.right)
-        if isinstance(move, ClosureMove):
-            c1, c2 = self._space.close(move.kind, move.nominal, pair)
-            return GameState(c1, c2, "spoiler", None, _spend(state.rounds_left))
-        if isinstance(move, SpoilerMove):
-            return GameState(state.left, state.right, "duplicator", move, _spend(state.rounds_left))
-        pend = state.pending
-        _, _, join = self._space.moves(pair, pend.rel, pend.side, pend.traced)
-        c1, c2 = join(pend.target, move.target)
-        return GameState(c1, c2, "spoiler", None, state.rounds_left)
+    def _follow(self, pos: tuple, move: Move, idx: int) -> tuple:
+        """Where move, the idx-th of a play, leads from pos."""
+        res, nxt = self._visit(pos)
+        if res is not None:
+            raise IllegalMoveError(idx, "the game is already over at this position")
+        for k, t in enumerate(nxt):
+            if self._move(pos, k, t) == move:
+                return t
+        raise IllegalMoveError(idx, f"{move.render()} is not available here")
 
     # -- solving -----------------------------------------------------------------
 
@@ -169,95 +216,92 @@ class Game:
         return self._solve_bounded(state, max_positions)
 
     def _solve_unbounded(self, state: GameState, max_positions: int) -> GameResult:
-        edges: dict[GameState, list[tuple[Move, GameState]]] = {}
-        terminal: dict[GameState, str] = {}
-        stack = [state]
-        seen = {state}
+        keys = [self._position(state)]  # position ids in discovery order
+        ids = {keys[0]: 0}
+        edges: dict[int, list[int]] = {}  # successor ids, in pop order
+        won: list[int] = []  # Spoiler's terminal wins
+        stack = [0]
         while stack:
-            s = stack.pop()
-            res, legal = self._visit(s)
+            i = stack.pop()
+            res, nxt = self._visit(keys[i])
             if res is not None:
-                terminal[s] = res
+                if res == "spoiler":
+                    won.append(i)
                 continue
-            outs = []
-            for m in legal:
-                t = self._apply_unchecked(s, m)
-                outs.append((m, t))
-                if t not in seen:
-                    if len(seen) >= max_positions:
+            out = edges[i] = []
+            for t in nxt:
+                j = ids.get(t)
+                if j is None:
+                    if len(keys) >= max_positions:
                         raise StateSpaceExceededError(max_positions)
-                    seen.add(t)
-                    stack.append(t)
-            edges[s] = outs
-        rank: dict[GameState, int] = {s: 0 for s, w in terminal.items() if w == "spoiler"}
-        changed = True
-        stage = 0
-        while changed:
-            changed = False
-            stage += 1
-            for s, outs in edges.items():
-                if s in rank:
-                    continue
-                if s.turn == "spoiler":
-                    if any(t in rank for _, t in outs):
-                        rank[s] = stage
-                        changed = True
-                elif all(t in rank for _, t in outs):
-                    rank[s] = stage
-                    changed = True
+                    j = ids[t] = len(keys)
+                    keys.append(t)
+                    stack.append(j)
+                out.append(j)
+        end = len(edges)
+        index, need, rank = [end] * len(keys), [0] * len(keys), [end + 1] * len(keys)
+        preds: list[list[int]] = [[] for _ in keys]
+        for p, (i, out) in enumerate(edges.items()):
+            index[i] = p
+            need[i] = len(out) if keys[i][2] >= 0 else 1
+            for j in out:
+                preds[j].append(i)
+        # (stage, pop index, id); Spoiler's terminal wins come first, as if last in pop order
+        heap = sorted((0, end, i) for i in won)
+        while heap:
+            k, p, i = heappop(heap)
+            rank[i] = k
+            for j in preds[i]:
+                need[j] -= 1
+                if not need[j]:
+                    heappush(heap, (k + (index[j] < p), index[j], j))
+        spoiler_wins = rank[0] <= end
         strategy: dict[GameState, Move] = {}
-        if state in rank:
-            for s, outs in edges.items():
-                if s.turn == "spoiler" and s in rank:
-                    best = min(
-                        (o for o in outs if o[1] in rank and rank[o[1]] < rank[s]),
-                        key=lambda o: rank[o[1]],
-                        default=None,
-                    )
-                    if best is not None:
-                        strategy[s] = best[0]
-            return GameResult("spoiler", strategy)
-        for s, outs in edges.items():
-            if s.turn == "duplicator" and s not in rank:
-                for m, t in outs:
-                    if t not in rank:
-                        strategy[s] = m
-                        break
-        return GameResult("duplicator", strategy)
+        for i, out in edges.items():
+            # the winner's moves from its own positions that it wins from
+            if (keys[i][2] < 0) == (rank[i] <= end) == spoiler_wins:
+                if spoiler_wins:  # the first successor of least rank, if below rank[i]
+                    k = min(range(len(out)), key=lambda k: rank[out[k]])
+                    if rank[out[k]] >= rank[i]:
+                        continue
+                else:  # the first unranked reply
+                    k = next(k for k, j in enumerate(out) if rank[j] > end)
+                strategy[self._state(keys[i])] = self._move(keys[i], k, keys[out[k]])
+        return GameResult(_TURN[not spoiler_wins], strategy)
 
     def _solve_bounded(self, state: GameState, max_positions: int) -> GameResult:
-        value: dict[GameState, str] = {}
-        best: dict[GameState, Move] = {}
+        value: dict[tuple, str] = {}
+        best: dict[tuple, tuple[int, tuple]] = {}
 
-        def val(s: GameState):
+        def val(s: tuple):
             """The memoized search at s, as a generator: it yields each
             unsolved successor and reads its value once the driver below has
             solved it, so deep games need no Python recursion."""
             if len(value) >= max_positions:
                 raise StateSpaceExceededError(max_positions)
-            res, legal = self._visit(s)
+            res, nxt = self._visit(s)
             if res is None:
-                res = "duplicator" if s.turn == "spoiler" else "spoiler"
-                for m in legal:
-                    t = self._apply_unchecked(s, m)
+                turn, res = _TURN[s[2] >= 0], _TURN[s[2] < 0]
+                for k, t in enumerate(nxt):
                     if t not in value:
                         yield t
-                    if value[t] == s.turn:
-                        res = s.turn
-                        best[s] = m
+                    if value[t] == turn:
+                        res = turn
+                        best[s] = (k, t)
                         break
             value[s] = res
 
-        stack = [val(state)]
+        start = self._position(state)
+        stack = [val(start)]
         while stack:
             t = next(stack[-1], None)
             if t is None:
                 stack.pop()
             else:
                 stack.append(val(t))
-        winner = value[state]
+        winner = value[start]
         strategy = {
-            s: m for s, m in best.items() if s.turn == winner and value.get(s) == winner
+            self._state(s): self._move(s, k, t) for s, (k, t) in best.items() if value[s] == winner
         }
         return GameResult(winner, strategy)
 
@@ -267,15 +311,10 @@ class Game:
         """Apply a scripted move list, validating every step; returns all
         visited states including the start."""
         out = [state]
-        cur = state
+        pos = self._position(state)
         for idx, move in enumerate(moves):
-            res, legal = self._visit(cur)
-            if res is not None:
-                raise IllegalMoveError(idx, "the game is already over at this position")
-            if move not in legal:
-                raise IllegalMoveError(idx, f"{move.render()} is not available here")
-            cur = self._apply_unchecked(cur, move)
-            out.append(cur)
+            pos = self._follow(pos, move, idx)
+            out.append(self._state(pos))
         return out
 
     def sample_play(
@@ -284,19 +323,15 @@ class Game:
         """A demonstration line: the winner follows the computed strategy,
         the loser takes its first legal move.  Cut off after max_plies."""
         moves: list[Move] = []
-        cur = state
+        pos = self._position(state)
         for _ in range(max_plies):
-            res, legal = self._visit(cur)
+            res, nxt = self._visit(pos)
             if res is not None:
                 break
-            move = result.strategy.get(cur, legal[0])
+            move = result.strategy.get(self._state(pos)) or self._move(pos, 0, nxt[0])
+            pos = self._follow(pos, move, len(moves))
             moves.append(move)
-            cur = self._apply_unchecked(cur, move)
         return moves
-
-
-def _spend(rounds: int | None) -> int | None:
-    return None if rounds is None else rounds - 1
 
 
 def solve_game(

@@ -61,6 +61,13 @@ def fixture_model(name: str) -> tuple[KripkeModel, str]:
     return model, point
 
 
+def chain_model(n: int, prefix: str = "w") -> KripkeModel:
+    """An r-path through n worlds prefix0, prefix1, ...: against a path one
+    world longer, its distinguisher nests n modalities."""
+    worlds = tuple(f"{prefix}{k}" for k in range(n))
+    return KripkeModel(worlds, {"r": frozenset(zip(worlds, worlds[1:]))}, {})
+
+
 def sig_for(spec: LogicSpec) -> Signature:
     return SIG_NOM if spec.allows("nominal") else SIG
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, NESTED
+from conftest import FIXTURES, NESTED, chain_model
 from modalkit import cli, enumeration
 from modalkit import semantics
 from modalkit.kripke import GenParams, random_model, save_model
@@ -80,6 +80,14 @@ def test_bisim_unrelated_prints_a_distinguisher(capsys):
     code, out, _ = run(capsys, "bisim", REFL, CYC, "-d", "ml-diamond", "--depth", "0")
     assert code == 1
     assert out.splitlines()[1] == "no distinguisher found within depth 0"
+
+
+def test_bisim_prints_a_deep_distinguisher(capsys, tmp_path):
+    paths = [tmp_path / "short.km", tmp_path / "long.km"]
+    for path, n in zip(paths, (600, 601)):
+        path.write_text(save_model(chain_model(n), "w0"), encoding="utf-8")
+    code, out, _ = run(capsys, "bisim", *map(str, paths))
+    assert (code, out) == (1, "not related\ndistinguisher: " + "<r>" * 599 + "[r]false\n")
 
 
 def test_bisim_searches_for_a_distinguisher_once(capsys, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIG, fixture_model, models, sig_for
+from conftest import SIG, chain_model, fixture_model, models, sig_for
 from modalkit.configs import PairSpace, initial_pair
 from modalkit.equivalence import (
     Config,
@@ -132,6 +132,13 @@ def test_fork_not_bisimilar_with_distinguisher():
     assert print_formula(out.distinguisher) == "<e>(r & ~q)"
     assert check(three, v0, out.distinguisher)
     assert not check(two, w0, out.distinguisher)
+
+
+def test_deep_distinguisher_is_built_without_recursion():
+    """600 nested modalities: deeper than a recursive build can go."""
+    outcome = bisimilar(BML, chain_model(600, "a"), "a0", chain_model(601, "b"), "b0")
+    assert not outcome.related
+    assert print_formula(outcome.distinguisher) == "<r>" * 599 + "[r]false"
 
 
 def test_memory_splits_what_bml_equates():

@@ -2,9 +2,9 @@
 
 Text drawn from the model format's and the formula grammar's own tokens
 reaches deep into the loader and the parser; whatever it is, only
-``ModalkitError`` may escape them, and the CLI must answer 0, 1 or 2.  The
-models name at most three worlds, so every command the fuzzer drives stays
-small.
+``ModalkitError`` may escape them, and every subcommand of the CLI must
+answer 0, 1 or 2.  The models name at most three worlds and every other size
+is bounded, so every command the fuzzer drives stays small.
 """
 
 import contextlib
@@ -91,30 +91,72 @@ def test_parse_formula_raises_only_modalkit_errors(text, name):
         pass
 
 
-@settings(max_examples=150)
+# Argument values for the subcommands that take no formula: in and out of
+# range, and names that are not valid identifiers.
+_names = st.lists(st.sampled_from(["p", "q", "r", "i", "true", "w1", "a b", "<r>", ""]), max_size=3)
+_probs = st.sampled_from(["0", "0.3", "1", "-0.5", "2", "nan"])
+_members = st.sampled_from(["left", "right", "left,right", "right,nope", "", ","])
+
+
+@settings(max_examples=300)
 @given(
-    st.sampled_from(["check", "bisim", "minimize", "translate"]),
+    st.sampled_from(
+        ["check", "bisim", "minimize", "translate", "game", "define", "random", "suite"]
+    ),
     model_texts,
     model_texts,
     formula_texts,
     dialects,
     st.sampled_from([[], ["a"], ["z"]]),
+    st.data(),
 )
 def test_main_exits_with_a_contract_code(
-    tmp_path_factory, command, left, right, formula, name, world
+    tmp_path_factory, command, left, right, formula, name, world, data
 ):
     directory = tmp_path_factory.mktemp("fuzz")
     left_path, right_path = directory / "left.km", directory / "right.km"
     left_path.write_text(left, encoding="utf-8")
     right_path.write_text(right, encoding="utf-8")
+    # Every size is bounded: models of at most three worlds, at most three
+    # rounds, depth 2, a budget of 300 formulas, five random worlds and two
+    # suite cases, so no example can start a large search.
     argv = {
-        "check": ["check", "-m", str(left_path), f"--formula={formula}", f"--dialect={name}"]
+        "check": lambda: [
+            "check", "-m", str(left_path), f"--formula={formula}", f"--dialect={name}"
+        ]
         + [f"--world={w}" for w in world],
-        "bisim": ["bisim", str(left_path), str(right_path), f"--dialect={name}"]
+        "bisim": lambda: ["bisim", str(left_path), str(right_path), f"--dialect={name}"]
         + [f"--left-world={w}" for w in world],
-        "minimize": ["minimize", "-m", str(left_path)],
-        "translate": ["translate", "-m", str(left_path), f"--formula={formula}", f"--dialect={name}"],
-    }[command]
+        "minimize": lambda: ["minimize", "-m", str(left_path)],
+        "translate": lambda: [
+            "translate", "-m", str(left_path), f"--formula={formula}", f"--dialect={name}"
+        ],
+        "game": lambda: ["game", str(left_path), str(right_path), f"--dialect={name}"]
+        + [f"--left-world={w}" for w in world]
+        + data.draw(st.sampled_from([[], *([f"--rounds={k}"] for k in range(-1, 4))])),
+        "define": lambda: [
+            "define",
+            f"--universe={directory}",
+            f"--members={data.draw(_members)}",
+            f"--depth={data.draw(st.integers(-1, 2))}",
+            f"--budget={data.draw(st.integers(-1, 300))}",
+            f"--dialect={name}",
+        ],
+        "random": lambda: [
+            "random",
+            f"--worlds={data.draw(st.integers(-1, 5))}",
+            f"--seed={data.draw(st.integers(-5, 2**64))}",
+            f"--edge-prob={data.draw(_probs)}",
+            f"--prop-prob={data.draw(_probs)}",
+            *(f"--{role}={','.join(data.draw(_names))}" for role in ("props", "rels", "noms")),
+        ]
+        + data.draw(st.sampled_from([[], ["--point"]])),
+        "suite": lambda: [
+            "suite",
+            f"--cases={data.draw(st.integers(-1, 2))}",
+            f"--seed={data.draw(st.integers(-5, 2**64))}",
+        ],
+    }[command]()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2)

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_model, models, sig_for
+from modalkit.configs import PairSpace
 from modalkit.enumeration import equivalent_up_to
-from modalkit.equivalence import bisimilar
+from modalkit.equivalence import bisimilar, conditions_for
 from modalkit.errors import IllegalMoveError, StateSpaceExceededError
 from modalkit.games import (
     ClosureMove,
@@ -156,7 +157,131 @@ def test_deep_bounded_games():
     assert solve_game(ML, refl, a, cyc, b, rounds=5000).winner == "spoiler"
 
 
-def _recursive_bounded(game, state, max_positions):
+class _Reference:
+    """The game's rules on ``GameState`` objects through ``PairSpace``, as the
+    solvers ran them before they moved to integer positions: the oracle for
+    ``Game``'s move generation, solvers and sample plays.  It has the
+    ``replay`` and ``winner_at`` that ``format_transcript`` reads."""
+
+    def __init__(self, spec, left, right):
+        self.space = PairSpace(conditions_for(spec), left, right)
+
+    def visit(self, s):
+        if s.turn == "spoiler":
+            if self.space.static_violation((s.left, s.right)) is not None:
+                return "spoiler", []
+            if s.rounds_left is not None and s.rounds_left <= 0:
+                return "duplicator", []
+        moves = self.legal_moves(s)
+        if not moves:
+            return ("duplicator" if s.turn == "spoiler" else "spoiler"), moves
+        return None, moves
+
+    def winner_at(self, s):
+        return self.visit(s)[0]
+
+    def legal_moves(self, s):
+        space, pair = self.space, (s.left, s.right)
+        if s.turn == "spoiler":
+            moves = [ClosureMove(kind, nom) for kind, nom in space.closures]
+            for rel in space.rels:
+                for _, side, traced in space.clauses:
+                    targets, _, _ = space.moves(pair, rel, side, traced)
+                    moves.extend(SpoilerMove(side, rel, t, traced) for t in targets)
+            return moves
+        pend = s.pending
+        _, replies, join = space.moves(pair, pend.rel, pend.side, pend.traced)
+        return [
+            DuplicatorMove(u)
+            for u in replies
+            if space.static_violation(join(pend.target, u)) is None
+        ]
+
+    def apply(self, s, move):
+        spend = None if s.rounds_left is None else s.rounds_left - 1
+        if isinstance(move, ClosureMove):
+            images = self.space.closure_images((s.left, s.right))
+            image = next(i for k, n, i in images if (k, n) == (move.kind, move.nominal))
+            return GameState(*image, "spoiler", None, spend)
+        if isinstance(move, SpoilerMove):
+            return GameState(s.left, s.right, "duplicator", move, spend)
+        pend = s.pending
+        _, _, join = self.space.moves((s.left, s.right), pend.rel, pend.side, pend.traced)
+        return GameState(*join(pend.target, move.target), "spoiler", None, s.rounds_left)
+
+    def replay(self, s, moves):
+        out = [s]
+        for idx, move in enumerate(moves):
+            res, legal = self.visit(out[-1])
+            if res is not None or move not in legal:
+                raise IllegalMoveError(idx, "illegal")
+            out.append(self.apply(out[-1], move))
+        return out
+
+    def sample_play(self, s, result, max_plies=40):
+        moves = []
+        for _ in range(max_plies):
+            res, legal = self.visit(s)
+            if res is not None:
+                break
+            moves.append(result.strategy.get(s, legal[0]))
+            s = self.apply(s, moves[-1])
+        return moves
+
+
+def _staged_unbounded(ref, state, max_positions):
+    """The unbounded solver as staged passes over the positions in pop
+    order, each pass seeing the ranks given earlier in it: the oracle for
+    the worklist attractor."""
+    edges, terminal = {}, {}
+    stack, seen = [state], {state}
+    while stack:
+        s = stack.pop()
+        res, legal = ref.visit(s)
+        if res is not None:
+            terminal[s] = res
+            continue
+        outs = []
+        for m in legal:
+            t = ref.apply(s, m)
+            outs.append((m, t))
+            if t not in seen:
+                if len(seen) >= max_positions:
+                    raise StateSpaceExceededError(max_positions)
+                seen.add(t)
+                stack.append(t)
+        edges[s] = outs
+    rank = {s: 0 for s, w in terminal.items() if w == "spoiler"}
+    changed, stage = True, 0
+    while changed:
+        changed, stage = False, stage + 1
+        for s, outs in edges.items():
+            if s in rank:
+                continue
+            if s.turn == "spoiler":
+                if any(t in rank for _, t in outs):
+                    rank[s], changed = stage, True
+            elif all(t in rank for _, t in outs):
+                rank[s], changed = stage, True
+    strategy = {}
+    if state in rank:
+        for s, outs in edges.items():
+            if s.turn == "spoiler" and s in rank:
+                best = min(
+                    (o for o in outs if o[1] in rank and rank[o[1]] < rank[s]),
+                    key=lambda o: rank[o[1]],
+                    default=None,
+                )
+                if best is not None:
+                    strategy[s] = best[0]
+        return GameResult("spoiler", strategy)
+    for s, outs in edges.items():
+        if s.turn == "duplicator" and s not in rank:
+            strategy[s] = next(m for m, t in outs if t not in rank)
+    return GameResult("duplicator", strategy)
+
+
+def _recursive_bounded(ref, state, max_positions):
     """The bounded search as plain memoized recursion, kept as the
     reference: successors in legal-move order, the first winning move
     recorded, the position cap checked before each new position."""
@@ -167,11 +292,11 @@ def _recursive_bounded(game, state, max_positions):
             return value[s]
         if len(value) >= max_positions:
             raise StateSpaceExceededError(max_positions)
-        res, legal = game._visit(s)
+        res, legal = ref.visit(s)
         if res is None:
             res = "duplicator" if s.turn == "spoiler" else "spoiler"
             for m in legal:
-                if val(game._apply_unchecked(s, m)) == s.turn:
+                if val(ref.apply(s, m)) == s.turn:
                     res = s.turn
                     best[s] = m
                     break
@@ -184,28 +309,63 @@ def _recursive_bounded(game, state, max_positions):
     )
 
 
-@settings(max_examples=150)
-@given(st.data())
-def test_bounded_search_matches_recursive_reference(data):
+def _draw_game(data, max_worlds, rounds, caps):
+    """A game of a random dialect over two drawn models of up to max_worlds
+    worlds (a list: without, then with memory operators), its oracle, a
+    start and a position cap."""
     spec = DIALECTS[data.draw(st.sampled_from(sorted(DIALECTS)))]
     sig = sig_for(spec)
     mem = spec.allows("known")
-    left = data.draw(models(sig=sig, max_worlds=2 if mem else 3, allow_mem=mem))
-    right = data.draw(models(sig=sig, max_worlds=2 if mem else 3, allow_mem=mem))
+    left = data.draw(models(sig=sig, max_worlds=max_worlds[mem], allow_mem=mem))
+    right = data.draw(models(sig=sig, max_worlds=max_worlds[mem], allow_mem=mem))
     game = Game(spec, left, right)
     start = game.initial(
         data.draw(st.sampled_from(left.worlds)),
         data.draw(st.sampled_from(right.worlds)),
-        rounds=data.draw(st.integers(0, 5)),
+        rounds=rounds if rounds is None else data.draw(rounds),
     )
-    cap = data.draw(st.sampled_from([1, 5, 20, 200_000]))
+    cap = data.draw(st.sampled_from(caps))
+    return game, _Reference(spec, left, right), start, cap
+
+
+def _assert_same_solution(game, ref, start, cap, oracle):
     try:
-        expected = _recursive_bounded(game, start, cap)
+        expected = oracle(ref, start, cap)
     except StateSpaceExceededError:
         with pytest.raises(StateSpaceExceededError):
             game.solve(start, max_positions=cap)
-    else:
-        assert game.solve(start, max_positions=cap) == expected
+        return
+    result = game.solve(start, max_positions=cap)
+    assert result == expected
+    assert list(result.strategy.items()) == list(expected.strategy.items())
+    moves = game.sample_play(start, result)
+    assert moves == ref.sample_play(start, expected)
+    assert format_transcript(game, start, moves) == format_transcript(ref, start, moves)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_attractor_matches_staged_passes(data):
+    game, ref, start, cap = _draw_game(data, [4, 4], None, [5, 20_000, 20_000])
+    _assert_same_solution(game, ref, start, cap, _staged_unbounded)
+
+
+def test_attractor_ranks_a_position_in_the_pass_of_an_earlier_one():
+    """Here a position ranked in some pass makes one later in pop order rank
+    in that same pass; ranking it one pass later changes the strategy."""
+    full = frozenset({("w1", "w1"), ("w1", "w2"), ("w2", "w1"), ("w2", "w2")})
+    lit = frozenset({"w1", "w2"})
+    left = KripkeModel(("w1", "w2"), {"r": full}, {"p": lit})
+    right = KripkeModel(("w1", "w2"), {"r": frozenset({("w2", "w1"), ("w2", "w2")})}, {"p": lit})
+    game, ref = Game(BML, left, right), _Reference(BML, left, right)
+    _assert_same_solution(game, ref, game.initial("w1", "w2"), 200_000, _staged_unbounded)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_bounded_search_matches_recursive_reference(data):
+    game, ref, start, cap = _draw_game(data, [3, 2], st.integers(0, 5), [1, 5, 20, 200_000])
+    _assert_same_solution(game, ref, start, cap, _recursive_bounded)
 
 
 def test_position_caps():
@@ -224,17 +384,17 @@ def test_position_caps():
 def test_solving_computes_legal_moves_once_per_position(monkeypatch):
     model = random_model(GenParams(12, 0.2, 0.5, 7, Signature(props=("p",), rels=("r",))))
     seen = []
-    real = Game.legal_moves
+    real = Game._successors
 
-    def counted(self, state):
-        seen.append(state)
-        return real(self, state)
+    def counted(self, pos):
+        seen.append(pos)
+        return real(self, pos)
 
-    monkeypatch.setattr(Game, "legal_moves", counted)
+    monkeypatch.setattr(Game, "_successors", counted)
     game = Game(BML, model, model)
     start = game.initial(model.worlds[0], model.worlds[0])
     assert game.solve(start).winner == "duplicator"
-    # every explored position is asked at most once
+    # every explored position is expanded at most once
     assert len(seen) > 100
     assert len(seen) == len(set(seen))
 

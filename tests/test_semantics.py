@@ -16,7 +16,7 @@ from modalkit.errors import (
     OperatorNotInDialectError,
     UnassignedNominalError,
 )
-from modalkit.kripke import KripkeModel, mem_add, mem_remove, mem_wipe
+from modalkit.kripke import GenParams, KripkeModel, mem_add, mem_remove, mem_wipe, random_model
 from modalkit.semantics import EvalConfig, check, check_global, satisfying_set
 from modalkit.syntax import (
     DIALECTS,
@@ -37,6 +37,7 @@ from modalkit.syntax import (
     Or,
     Prop,
     Remember,
+    Signature,
     Top,
 )
 
@@ -170,6 +171,40 @@ def test_unassigned_nominal_raises():
         check(m, "a", Nom("i"))
     with pytest.raises(UnassignedNominalError):
         check(m, "a", At("i", Top()))
+
+
+def test_errors_follow_the_evaluation_order():
+    m = KripkeModel(("a",))
+    assert check(m, "a", Or(Top(), Nom("i")))
+    assert not check(m, "a", And(Bottom(), At("i", Top())))
+    assert not check(m, "a", Diamond("r", Nom("i")))
+    with pytest.raises(UnassignedNominalError):
+        check(m, "a", And(Top(), Nom("i")))
+
+
+# ---------------------------------------------------------------------------
+# Cost
+
+
+def test_each_subformula_is_evaluated_once_per_memory_and_world(monkeypatch):
+    """<r>^5 false over 40 worlds of out-degree about 12: one successor
+    lookup per (diamond, world), where the plain recursion makes one per
+    path, about 12^5."""
+    model = random_model(GenParams(40, 0.3, 0.5, 7, Signature(props=("p",), rels=("r",))))
+    phi = Bottom()
+    for _ in range(5):
+        phi = Diamond("r", phi)
+    lookups = []
+    real = KripkeModel.successors
+    monkeypatch.setattr(
+        KripkeModel, "successors", lambda self, rel, w: lookups.append(w) or real(self, rel, w)
+    )
+    check(model, model.worlds[0], phi)
+    assert len(lookups) <= 5 * 40
+    for evaluate in (satisfying_set, check_global):
+        lookups.clear()
+        evaluate(model, phi)
+        assert len(lookups) <= 5 * 40
 
 
 # ---------------------------------------------------------------------------
