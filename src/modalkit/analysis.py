@@ -276,7 +276,7 @@ def definability_check(
     in_bits = [bits[k] for k in inside]
     out_bits = [bits[k] for k in outside]
     try:
-        for phi, mask in stream_with_meanings(ctx, max_depth, budget):
+        for phi, mask, _ in stream_with_meanings(ctx, max_depth, budget):
             if all((mask >> b) & 1 for b in in_bits) and not any(
                 (mask >> b) & 1 for b in out_bits
             ):

@@ -8,21 +8,23 @@ indistinguishable by any of the context's models, which makes deduplication
 exact rather than heuristic.
 
 Each operator that moves a configuration (a diamond or double diamond along
-a relation, remember, forget, erase, a jump ``@i``) is a ``configs.Op``,
-compiled on first use from the tables' moves, each read once, into one
-predecessor table: entry t is the mask of the configurations that one
-application of the operator moves to t.  The operator's meaning is the
-preimage of its argument, the union of the entries at the argument's bits
-(the bottom-up labelling of Clarke, Emerson & Sistla, TOPLAS 1986); a box is
-the dual of its diamond.  The context lists its atoms and its depth-0
-updates (negation, then the closures) once, and both engines read them.
+a relation, remember, forget, erase, a jump ``@i``) is a ``configs.Op``
+whose meaning is the preimage of its argument (the bottom-up labelling of
+Clarke, Emerson & Sistla, TOPLAS 1986); a box is the dual of its diamond.
+On first use its predecessor rows (row t: the configurations one application
+moves to t) are read from the tables' moves and folded into a 16-entry table
+per four rows, as in the Method of Four Russians (Arlazarov et al., 1970),
+so a preimage costs two lookups per nonzero byte of its argument.  The
+context lists its atoms and its depth-0 updates (negation, then the
+closures) once, and both engines read them.
 
 Two engines share the context:
 
 - ``enumerate_formulas`` produces the canonical stream: formulas grouped by
   modal depth, within a depth stratum ordered by node count and rendered
-  text, each yielded formula having a meaning not seen before.  The stream
-  is conjunction-free; it is a sound basis for theory comparison (related
+  text (each computed from the operand's by the printer's own rule), each
+  yielded formula having a meaning not seen before.  The stream is
+  conjunction-free; it is a sound basis for theory comparison (related
   points agree on all of it) and a practical basis for small-definition
   synthesis, but it does not enumerate every boolean combination.
 
@@ -91,6 +93,8 @@ from .syntax import (
     formula_size,
     modality,
     print_formula,
+    unary_prefix,
+    wrap,
 )
 
 MEMORY_CHANGING = frozenset({"remember", "forget", "erase", "ddiamond", "dbox"})
@@ -119,7 +123,7 @@ class EvalContext:
     then the nominals, as the dialect allows; ``updates`` lists (formula
     builder, mask transform) for negation, then the closure updates in
     ``configs.closures`` order.  ``pre`` is the one preimage routine behind
-    every operator, keyed by ``configs.Op``.
+    every operator, keyed by ``configs.Op``, reading its nibble tables.
     """
 
     def __init__(self, spec: LogicSpec, models: list[KripkeModel] | tuple[KripkeModel, ...]):
@@ -177,7 +181,7 @@ class EvalContext:
             self.updates.append(
                 (partial(closure_formula, kind, nom), partial(self.pre, ("close", kind, nom)))
             )
-        self._pre_tables: dict[Op, list[int]] = {}
+        self._pre_tables: dict[Op, tuple[list[list[int]], list[list[int]]]] = {}
 
     def bit_of(self, model_index: int, mem: frozenset[str], world: str) -> int:
         return self.offsets[model_index] + self.tables[model_index].ids[(frozenset(mem), world)]
@@ -190,21 +194,34 @@ class EvalContext:
 
     def pre(self, op: Op, m: int) -> int:
         """The configurations that op moves into m: the meaning of op's
-        diamond or closure operator applied to a formula meaning m."""
-        table = self._pre_tables.get(op)
-        if table is None:
-            table = self._pre_tables[op] = [0] * len(self.configs)
-            for config_table, off in zip(self.tables, self.offsets):
-                for c in range(len(config_table.configs)):
-                    for d in config_table.move(op, c):
-                        table[off + d] |= 1 << (off + c)
+        diamond or closure operator applied to a formula meaning m, read a
+        byte of m at a time from the byte's low and high nibble tables."""
+        nibbles = self._pre_tables.get(op)
+        if nibbles is None:
+            nibbles = self._pre_tables[op] = self._nibble_tables(op)
         out = 0
-        bits = bin(m)[:1:-1]  # least significant bit first
-        t = bits.find("1")
-        while t >= 0:
-            out |= table[t]
-            t = bits.find("1", t + 1)
+        for b, low, high in zip(m.to_bytes((m.bit_length() + 7) >> 3, "little"), *nibbles):
+            if b:
+                out |= low[b & 15] | high[b >> 4]
         return out
+
+    def _nibble_tables(self, op: Op) -> tuple[list[list[int]], list[list[int]]]:
+        """op's predecessor rows, padded to whole bytes and folded four at a
+        time into 16-entry tables (entry x: the union of the rows at x's
+        bits); the tables of each byte's low nibbles, then of its high."""
+        rows = [0] * (-(-len(self.configs) // 8) * 8)
+        for config_table, off in zip(self.tables, self.offsets):
+            for c in range(len(config_table.configs)):
+                for d in config_table.move(op, c):
+                    rows[off + d] |= 1 << (off + c)
+        tables = []
+        for j in range(0, len(rows), 4):
+            nib = [0] * 16
+            for x in range(1, 16):
+                low = x & -x
+                nib[x] = nib[x ^ low] | rows[j + low.bit_length() - 1]
+            tables.append(nib)
+        return tables[::2], tables[1::2]
 
     def not_t(self, m: int) -> int:
         return self.full & ~m
@@ -268,42 +285,56 @@ class EvalContext:
 
 
 def stream_with_meanings(ctx: EvalContext, max_depth: int, budget: int):
-    """Yield (formula, meaning mask) pairs of the canonical stream; raise
-    BudgetExceededError when more than ``budget`` distinct meanings would be
-    produced before the depth bound is exhausted."""
-    modal = [(op, r) for r in ctx.rels for op in MODALITIES if ctx.spec.allows(op)]
+    """Yield (formula, meaning mask, rendered text) triples of the canonical
+    stream; raise BudgetExceededError when more than ``budget`` distinct
+    meanings would be produced before the depth bound is exhausted."""
+    updates = _with_prefixes(ctx.updates)
+    modal = _with_prefixes(
+        (partial(MODALITIES[op], r), partial(ctx.modal_t, op, r))
+        for r in ctx.rels
+        for op in MODALITIES
+        if ctx.spec.allows(op)
+    )
     seen: set[int] = set()
     tick = iter(range(10**12))
 
-    seeds: list[tuple[Formula, int]] = [(Top(), ctx.full), (Bottom(), 0), *ctx.atoms]
+    # (node count, text, formula, meaning)
+    seeds = [
+        (formula_size(phi), print_formula(phi), phi, mask)
+        for phi, mask in [(Top(), ctx.full), (Bottom(), 0), *ctx.atoms]
+    ]
     for depth in range(max_depth + 1):
-        heap = [
-            (formula_size(phi), print_formula(phi), next(tick), phi, mask) for phi, mask in seeds
-        ]
+        heap = [(size, text, next(tick), phi, mask) for size, text, phi, mask in seeds]
         heapq.heapify(heap)
-        accepted: list[tuple[Formula, int]] = []
+        accepted = []
         while heap:
-            _, _, _, phi, mask = heapq.heappop(heap)
+            size, text, _, phi, mask = heapq.heappop(heap)
             if mask in seen:
                 continue
             if len(seen) >= budget:
                 raise BudgetExceededError(budget)
             seen.add(mask)
-            accepted.append((phi, mask))
-            yield phi, mask
-            for build, transform in ctx.updates:
-                psi = build(phi)
+            accepted.append((size, text, phi, mask))
+            yield phi, mask, text
+            for build, transform, prefix in updates:
                 heapq.heappush(
                     heap,
-                    (formula_size(psi), print_formula(psi), next(tick), psi, transform(mask)),
+                    (size + 1, wrap(prefix, phi, text), next(tick), build(phi), transform(mask)),
                 )
         if not accepted:
             return
         seeds = [
-            (MODALITIES[op](r, phi), ctx.modal_t(op, r, mask))
-            for phi, mask in accepted
-            for op, r in modal
+            (size + 1, wrap(prefix, phi, text), build(phi), transform(mask))
+            for size, text, phi, mask in accepted
+            for build, transform, prefix in modal
         ]
+
+
+def _with_prefixes(ops) -> list[tuple[Callable[[Formula], Formula], Callable[[int], int], str]]:
+    """(formula builder, mask transform) pairs with the text each builder
+    writes before its operand, so a built formula's text is read off its
+    operand's with ``wrap``."""
+    return [(build, transform, unary_prefix(build)) for build, transform in ops]
 
 
 def enumerate_formulas(
@@ -316,7 +347,7 @@ def enumerate_formulas(
     """The canonical stream of meaning-distinct formulas over the models (see
     module docstring for the ordering guarantees)."""
     ctx = EvalContext(spec, models)
-    for phi, _ in stream_with_meanings(ctx, max_depth, budget):
+    for phi, _, _ in stream_with_meanings(ctx, max_depth, budget):
         yield phi
 
 
@@ -333,8 +364,7 @@ def joint_theories(
     ctx = EvalContext(spec, [pm.model for pm in pointed])
     bits = [ctx.start_bit(k, pm.world) for k, pm in enumerate(pointed)]
     out: list[set[str]] = [set() for _ in pointed]
-    for phi, mask in stream_with_meanings(ctx, depth, budget):
-        text = print_formula(phi)
+    for _, mask, text in stream_with_meanings(ctx, depth, budget):
         for k, b in enumerate(bits):
             if (mask >> b) & 1:
                 out[k].add(text)
@@ -358,7 +388,8 @@ class JointPartition:
     in split order; ``paths`` maps each class to the signed tests (the test
     where the class fell inside, its negation where it fell outside) on its
     way down from the whole space, in split order, as (rendered text,
-    formula) entries each rendered once at its split.  The first test that
+    formula) entries; each test's text is built from its operand's, as the
+    stream builds its keys.  The first test that
     tells two classes apart is the one that split their last common
     ancestor, so both queries below read a path instead of searching the
     tests.
@@ -392,32 +423,34 @@ class JointPartition:
         ctx = self.ctx
         seen: set[int] = set()
 
-        def wave(batch: list[tuple[Formula, int]]) -> bool:
+        updates = _with_prefixes(ctx.updates)
+
+        def wave(batch: list[tuple[Formula, int, str]]) -> bool:
             split_any = False
             queue = deque(batch)
             while queue:
-                phi, mask = queue.popleft()
+                phi, mask, text = queue.popleft()
                 if mask in seen:
                     continue
                 if len(seen) >= max_tests:
                     raise BudgetExceededError(max_tests)
                 seen.add(mask)
-                if self._apply(phi, mask):
+                if self._apply(phi, mask, text):
                     split_any = True
-                for build, transform in ctx.updates:
-                    queue.append((build(phi), transform(mask)))
+                for build, transform, prefix in updates:
+                    queue.append((build(phi), transform(mask), wrap(prefix, phi, text)))
             return split_any
 
-        diamonds = [
-            (op, r)
+        diamonds = _with_prefixes(
+            (partial(modality, self.spec, op, r), partial(ctx.modal_t, op, r))
             for r in ctx.rels
             for op, dual in (("diamond", "box"), ("ddiamond", "dbox"))
             if self.spec.allows(op) or self.spec.allows(dual)
-        ]
+        )
         # A cell seeded at an earlier wave still yields the masks it yielded
         # then, all of them in ``seen`` already.
         seeded: set[int] = set()
-        changed = wave(ctx.atoms)
+        changed = wave([(phi, mask, print_formula(phi)) for phi, mask in ctx.atoms])
         while True:
             if max_depth is not None and self.depth >= max_depth:
                 self.saturated = not changed
@@ -431,33 +464,35 @@ class JointPartition:
                 if cell in seeded:
                     continue
                 seeded.add(cell)
-                chi = _conjunction(self.paths[cell])
+                text, chi = _conjunction(self.paths[cell])
                 seeds.extend(
-                    (modality(self.spec, op, r, chi), ctx.modal_t(op, r, cell)) for op, r in diamonds
+                    (build(chi), transform(cell), wrap(prefix, chi, text))
+                    for build, transform, prefix in diamonds
                 )
             changed = wave(seeds)
 
-    def _apply(self, phi: Formula, mask: int) -> bool:
-        split_any = False
+    def _apply(self, phi: Formula, mask: int, text: str) -> bool:
+        rest = ~mask
+        for cell in self.cells:
+            if cell & mask and cell & rest:
+                break
+        else:
+            return False
+        signed = ((text, phi), (wrap("~", phi, text), Not(phi)))
         new_cells = []
         for cell in self.cells:
             inside = cell & mask
-            outside = cell & ~mask
+            outside = cell & rest
             if inside and outside:
-                if not split_any:
-                    neg = Not(phi)
-                    signed = ((print_formula(phi), phi), (print_formula(neg), neg))
-                    split_any = True
                 new_cells.extend((inside, outside))
                 path = self.paths.pop(cell)
                 for child, entry in zip((inside, outside), signed):
                     self.paths[child] = (*path, entry)
             else:
                 new_cells.append(cell)
-        if split_any:
-            self.cells = sorted(new_cells, key=lambda c: c & -c)
-            self.tests.append((phi, mask))
-        return split_any
+        self.cells = sorted(new_cells, key=lambda c: c & -c)
+        self.tests.append((phi, mask))
+        return True
 
     # -- queries ---------------------------------------------------------------
 
@@ -470,7 +505,7 @@ class JointPartition:
     def characteristic(self, bit: int) -> Formula:
         """A formula true exactly on the bit's meaning class: the conjunction
         of the signed tests on its split path."""
-        return _conjunction(self.paths[self.cells[self.cell_index_of(bit)]])
+        return _conjunction(self.paths[self.cells[self.cell_index_of(bit)]])[1]
 
     def separator_between(self, bit_true: int, bit_false: int) -> Formula | None:
         """A minimal-wave formula true at the first configuration and false
@@ -482,9 +517,9 @@ class JointPartition:
         return next((a[1] for a, b in zip(mine, theirs) if a is not b), None)
 
 
-def _conjunction(path: tuple[tuple[str, Formula], ...]) -> Formula:
-    """``conjoin`` of a path's formulas: sorted by text, keeping the last
-    of equal texts."""
+def _conjunction(path: tuple[tuple[str, Formula], ...]) -> tuple[str, Formula]:
+    """``conjoin`` of a path's formulas, with its text: sorted by text,
+    keeping the last of equal texts."""
     return conjoin_sorted(sorted(dict(path).items()))
 
 

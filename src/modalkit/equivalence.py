@@ -46,6 +46,7 @@ reads by configuration pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .configs import (
     CLAUSES,
@@ -65,9 +66,12 @@ from .syntax import (
     Nom,
     Not,
     Prop,
-    conjoin,
-    disjoin,
+    conjoin_sorted,
+    disjoin_sorted,
     modality,
+    print_formula,
+    unary_prefix,
+    wrap,
 )
 
 DEFAULT_MAX_PAIRS = 2**20
@@ -314,34 +318,48 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, pair: Pair) -> Formula:
     false on the right) from the fixpoint's deletion reasons.  Each pair's
     ``build`` is a generator that yields the pairs whose formulas it needs;
     they run on an explicit stack, so a formula may nest deeper than Python's
-    recursion limit."""
-    memo: dict[Pair, Formula] = {}
+    recursion limit.  Each formula comes with its text, built from its
+    parts' texts, so no part is rendered again to sort a conjunction."""
+    memo: dict[Pair, tuple[str, Formula]] = {}
+    prefixes: dict[tuple, str] = {}
+
+    def atom(phi: Formula) -> tuple[str, Formula]:
+        return print_formula(phi), phi
+
+    def over(key: tuple, build, part: tuple[str, Formula]) -> tuple[str, Formula]:
+        """build applied to a (text, formula) part, as such an entry."""
+        if key not in prefixes:
+            prefixes[key] = unary_prefix(build)
+        text, sub = part
+        return wrap(prefixes[key], sub, text), build(sub)
 
     def build(pair: Pair):
         _, reason = engine.death(pair)
         match reason:
             case ("agree", p, "left"):
-                return Prop(p)
+                return atom(Prop(p))
             case ("agree", p, "right"):
-                return Not(Prop(p))
+                return atom(Not(Prop(p)))
             case ("kagree", "left"):
-                return Known()
+                return atom(Known())
             case ("kagree", "right"):
-                return Not(Known())
+                return atom(Not(Known()))
             case ("nagree", i, "left"):
-                return Nom(i)
+                return atom(Nom(i))
             case ("nagree", i, "right"):
-                return Not(Nom(i))
+                return atom(Not(Nom(i)))
             case (("remember" | "forget" | "erase" | "nom") as kind, info, image):
-                return closure_formula(kind, info, (yield image))
+                return over((kind, info), partial(closure_formula, kind, info), (yield image))
             case (("forth" | "back" | "mforth" | "mback") as name, rel, target):
                 side, traced = CLAUSES[name]
                 _, replies, join = engine.moves(pair, rel, side, traced)
                 parts = []
                 for u in replies:
                     parts.append((yield join(target, u)))
-                sub = conjoin(parts) if side == "left" else disjoin(parts)
-                return modality(spec, _CLAUSE_OPERATOR[name], rel, sub)
+                fold = conjoin_sorted if side == "left" else disjoin_sorted
+                sub = fold(sorted(dict(parts).items()))
+                op = _CLAUSE_OPERATOR[name]
+                return over((op, rel), partial(modality, spec, op, rel), sub)
         raise AssertionError(f"unknown deletion reason {reason!r}")
 
     stack, sent = [(pair, build(pair))], None
@@ -356,7 +374,7 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, pair: Pair) -> Formula:
             sent = memo.get(need)
             if sent is None:
                 stack.append((need, build(need)))
-    return sent
+    return sent[1]
 
 
 # ---------------------------------------------------------------------------

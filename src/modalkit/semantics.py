@@ -1,7 +1,7 @@
 """Truth in a pointed model, for every dialect the workbench speaks.
 
 Memory effects (remember/forget/erase and the double modalities) are threaded
-through the recursion as an explicit memory-set argument instead of
+through the evaluation as an explicit memory-set argument instead of
 materializing modified models; @-jumps keep the current memory.
 """
 
@@ -60,64 +60,90 @@ def eval_at(model: KripkeModel, mem: frozenset[str], world: str, phi: Formula) -
 
 
 def _evaluator(model: KripkeModel):
-    """Truth in model, memoized on (subformula object, memory, world) and
-    computed in the plain recursion's order, so it raises where that does."""
+    """Truth in model, memoized on (subformula object, memory, world).  Each
+    node is a generator that yields the (memory, world, subformula) triples
+    it needs, in the plain recursion's order, and returns its truth; they
+    run on an explicit stack, so a formula may nest deeper than Python's
+    recursion limit, and evaluation raises where the recursion would."""
     memo: dict[tuple, bool] = {}
 
-    def ev(mem: frozenset[str], world: str, phi: Formula) -> bool:
-        key = (id(phi), mem, world)
-        if key in memo:
-            return memo[key]
+    def node(mem: frozenset[str], world: str, phi: Formula):
         match phi:
             case Top():
-                out = True
+                return True
             case Bottom():
-                out = False
+                return False
             case Prop(name):
-                out = world in model.val.get(name, frozenset())
+                return world in model.val.get(name, frozenset())
             case Nom(name):
                 try:
-                    out = model.noms[name] == world
+                    return model.noms[name] == world
                 except KeyError:
                     raise UnassignedNominalError(name) from None
             case Known():
-                out = world in mem
+                return world in mem
             case Not(sub):
-                out = not ev(mem, world, sub)
+                return not (yield mem, world, sub)
             case And(a, b):
-                out = ev(mem, world, a) and ev(mem, world, b)
+                return (yield mem, world, a) and (yield mem, world, b)
             case Or(a, b):
-                out = ev(mem, world, a) or ev(mem, world, b)
+                return (yield mem, world, a) or (yield mem, world, b)
             case Implies(a, b):
-                out = (not ev(mem, world, a)) or ev(mem, world, b)
+                return (not (yield mem, world, a)) or (yield mem, world, b)
             case Iff(a, b):
-                out = ev(mem, world, a) == ev(mem, world, b)
-            case Diamond(rel, sub):
-                out = any(ev(mem, w2, sub) for w2 in model.successors(rel, world))
-            case Box(rel, sub):
-                out = all(ev(mem, w2, sub) for w2 in model.successors(rel, world))
-            case DDiamond(rel, sub):
-                traced = mem | {world}
-                out = any(ev(traced, w2, sub) for w2 in model.successors(rel, world))
-            case DBox(rel, sub):
-                traced = mem | {world}
-                out = all(ev(traced, w2, sub) for w2 in model.successors(rel, world))
+                return (yield mem, world, a) == (yield mem, world, b)
+            case Diamond(rel, sub) | DDiamond(rel, sub):
+                inner = mem | {world} if type(phi) is DDiamond else mem
+                for w2 in model.successors(rel, world):
+                    if (yield inner, w2, sub):
+                        return True
+                return False
+            case Box(rel, sub) | DBox(rel, sub):
+                inner = mem | {world} if type(phi) is DBox else mem
+                for w2 in model.successors(rel, world):
+                    if not (yield inner, w2, sub):
+                        return False
+                return True
             case Remember(sub):
-                out = ev(mem | {world}, world, sub)
+                return (yield mem | {world}, world, sub)
             case Forget(sub):
-                out = ev(mem - {world}, world, sub)
+                return (yield mem - {world}, world, sub)
             case Erase(sub):
-                out = ev(frozenset(), world, sub)
+                return (yield frozenset(), world, sub)
             case At(nom, sub):
                 try:
                     target = model.noms[nom]
                 except KeyError:
                     raise UnassignedNominalError(nom) from None
-                out = ev(mem, target, sub)
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
-        memo[key] = out
-        return out
+                return (yield mem, target, sub)
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def ev(mem: frozenset[str], world: str, phi: Formula) -> bool:
+        stack: list = []  # (memo key, node) awaiting a subformula's truth
+        need = (mem, world, phi)
+        while True:
+            key = (id(need[2]), need[0], need[1])
+            out = memo.get(key)
+            if out is None:
+                gen = node(*need)
+                try:
+                    need = next(gen)
+                except StopIteration as done:
+                    out = memo[key] = done.value
+                else:
+                    stack.append((key, gen))
+                    continue
+            while stack:
+                key, gen = stack[-1]
+                try:
+                    need = gen.send(out)
+                except StopIteration as done:
+                    out = memo[key] = done.value
+                    stack.pop()
+                else:
+                    break
+            else:
+                return out
 
     return ev
 

@@ -548,6 +548,19 @@ def print_formula(phi: Formula) -> str:
     return _render(phi, 0)
 
 
+def wrap(prefix: str, sub: Formula, text: str) -> str:
+    """The printer's text of a unary operator written ``prefix`` applied to
+    sub, whose own text is ``text``: the operand goes in parentheses when it
+    is a binary connective."""
+    return f"{prefix}({text})" if type(sub) in _PREC else prefix + text
+
+
+def unary_prefix(build) -> str:
+    """What a chain of unary operators writes before its operand: the text
+    of ``build(true)`` without the ``true``."""
+    return print_formula(build(Top()))[: -len("true")]
+
+
 def _render(phi: Formula, ctx: int) -> str:
     match phi:
         case Top():
@@ -561,23 +574,23 @@ def _render(phi: Formula, ctx: int) -> str:
         case Nom(name):
             return f"'{name}"
         case Not(sub):
-            return f"~{_render(sub, 4)}"
+            return wrap("~", sub, _render(sub, 0))
         case Diamond(rel, sub):
-            return f"<{rel}>{_render(sub, 4)}"
+            return wrap(f"<{rel}>", sub, _render(sub, 0))
         case Box(rel, sub):
-            return f"[{rel}]{_render(sub, 4)}"
+            return wrap(f"[{rel}]", sub, _render(sub, 0))
         case DDiamond(rel, sub):
-            return f"<<{rel}>>{_render(sub, 4)}"
+            return wrap(f"<<{rel}>>", sub, _render(sub, 0))
         case DBox(rel, sub):
-            return f"[[{rel}]]{_render(sub, 4)}"
+            return wrap(f"[[{rel}]]", sub, _render(sub, 0))
         case At(nom, sub):
-            return f"@{nom} {_render(sub, 4)}"
+            return wrap(f"@{nom} ", sub, _render(sub, 0))
         case Remember(sub):
-            return f"rem {_render(sub, 4)}"
+            return wrap("rem ", sub, _render(sub, 0))
         case Forget(sub):
-            return f"forg {_render(sub, 4)}"
+            return wrap("forg ", sub, _render(sub, 0))
         case Erase(sub):
-            return f"erase {_render(sub, 4)}"
+            return wrap("erase ", sub, _render(sub, 0))
         case And(a, b):
             out = f"{_render(a, 3)} & {_render(b, 4)}"
             return f"({out})" if ctx > 3 else out
@@ -610,27 +623,37 @@ def formula_size(phi: Formula) -> int:
 def conjoin(parts) -> Formula:
     """Left fold of And over the parts, deduplicated and sorted by rendered
     text; the empty conjunction is true."""
-    return conjoin_sorted(sorted({print_formula(p): p for p in parts}.items()))
+    return conjoin_sorted(sorted({print_formula(p): p for p in parts}.items()))[1]
 
 
-def conjoin_sorted(entries) -> Formula:
+def conjoin_sorted(entries) -> tuple[str, Formula]:
     """``conjoin`` of parts given as (rendered text, formula) entries,
-    already sorted by text with each text once."""
-    if not entries:
-        return Top()
-    out = entries[0][1]
-    for _, p in entries[1:]:
-        out = And(out, p)
-    return out
+    already sorted by text with each text once, as one such entry."""
+    return _fold(entries, And, " & ", Top())
 
 
 def disjoin(parts) -> Formula:
     """Left fold of Or, deduplicated and sorted by rendered text; the empty
     disjunction is false."""
-    uniq = sorted({print_formula(p): p for p in parts}.items())
-    if not uniq:
-        return Bottom()
-    out = uniq[0][1]
-    for _, p in uniq[1:]:
-        out = Or(out, p)
-    return out
+    return disjoin_sorted(sorted({print_formula(p): p for p in parts}.items()))[1]
+
+
+def disjoin_sorted(entries) -> tuple[str, Formula]:
+    """``disjoin`` of (rendered text, formula) entries, already sorted by
+    text with each text once, as one such entry."""
+    return _fold(entries, Or, " | ", Bottom())
+
+
+def _fold(entries, cls, sep: str, empty: Formula) -> tuple[str, Formula]:
+    """Left fold of the binary connective cls over (text, formula) entries,
+    its text joined from theirs with the printer's parentheses: the first
+    operand of a left-nested fold at cls's own precedence, the rest one
+    above."""
+    if len(entries) < 2:
+        return entries[0] if entries else (print_formula(empty), empty)
+    texts, out = [], None
+    for text, p in entries:
+        ctx = _PREC[cls] + (out is not None)
+        texts.append(f"({text})" if _PREC.get(type(p), 4) < ctx else text)
+        out = p if out is None else cls(out, p)
+    return sep.join(texts), out

@@ -10,14 +10,16 @@ connectives, so theory agreement on it is necessary but not sufficient for
 bounded equivalence.
 """
 
+import heapq
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIG, SIG_NOM, fixture_model, models, sig_for
+from conftest import ALL_DIALECTS, SIG, SIG_NOM, fixture_model, models, sig_for
 from modalkit import enumeration
 from modalkit.configs import MEMORY_UPDATES, close, step_memory
 from modalkit.enumeration import (
@@ -51,6 +53,7 @@ from modalkit.syntax import (
     Remember,
     Top,
     conjoin,
+    formula_size,
     modal_depth,
     print_formula,
     validate_formula,
@@ -217,13 +220,59 @@ def test_layout_matches_index_oracle(data):
     }
     assert ctx.known_mask == mask_of(lambda m, mem, w: w in mem)
     assert ctx.nom_mask == {i: mask_of(lambda m, mem, w, i=i: m.noms[i] == w) for i in ctx.noms}
+    for op in _ops(ctx):
+        assert [ctx.pre(op, 1 << t) for t in range(len(configs))] == table(op), op
+
+
+def _ops(ctx):
+    """Every configs.Op the context can compile."""
     traced = (False, True) if ctx.memory_table else (False,)
     ops = [("step", r, t) for r in ctx.rels for t in traced]
     if ctx.memory_table:
         ops.extend(("close", kind, None) for kind in MEMORY_UPDATES)
     ops.extend(("close", "nom", i) for i in ctx.noms)
-    for op in ops:
-        assert [ctx.pre(op, 1 << t) for t in range(len(configs))] == table(op), op
+    return ops
+
+
+def _pre_by_bits(table, m):
+    """The preimage as EvalContext once took it, kept as the reference for
+    the nibble tables: the union of the table's entries at m's set bits,
+    found one at a time."""
+    out = 0
+    bits = bin(m)[:1:-1]  # least significant bit first
+    t = bits.find("1")
+    while t >= 0:
+        out |= table[t]
+        t = bits.find("1", t + 1)
+    return out
+
+
+def _masks(n):
+    """Masks over n bits: empty, full, sparse, dense and uniform."""
+    full = (1 << n) - 1
+    sparse = st.sets(st.integers(0, n - 1), max_size=3).map(lambda bits: sum(1 << b for b in bits))
+    return st.one_of(st.just(0), st.just(full), sparse, sparse.map(full.__xor__), st.integers(0, full))
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_nibble_pre_matches_per_bit_union(data):
+    """pre reads its nibble tables to the same preimage as the per-bit union
+    of the predecessor table, for every operator of every dialect's context
+    (the memory dialects' among them).  One or two models of one to three
+    worlds make contexts of 1 to 6 configurations without memory and of 2,
+    4, 8, 10, 16, 24, 26, 32 or 48 with it: whole and partial last bytes."""
+    mods = data.draw(
+        st.lists(models(sig=SIG_NOM, max_worlds=3, allow_mem=True), min_size=1, max_size=2)
+    )
+    for name in ALL_DIALECTS:
+        spec = DIALECTS[name]
+        ctx = EvalContext(spec, mods)
+        _, _, _, table = _index_layout(spec, mods)
+        for op in _ops(ctx):
+            rows = table(op)
+            for m in data.draw(st.lists(_masks(len(rows)), min_size=1, max_size=4)):
+                assert ctx.pre(op, m) == _pre_by_bits(rows, m), (name, op, m)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +323,37 @@ def test_stream_meanings_distinct_and_linear(data):
         assert modal_depth(phi) <= 2
         text = print_formula(phi)
         assert not any(op in text for op in ("&", "|", "->"))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_DIALECTS), st.data())
+def test_stream_keys_are_size_and_text(name, data):
+    """Every key the stream pushes, built from its operand's key, is the
+    pushed formula's node count and printed text, and each yielded text is
+    the yielded formula's."""
+    spec = DIALECTS[name]
+    mods = data.draw(
+        st.lists(models(sig=sig_for(spec), max_worlds=2, allow_mem=True), min_size=1, max_size=2)
+    )
+    pushed = []
+
+    def heapify(heap):
+        pushed.extend(heap)
+        heapq.heapify(heap)
+
+    def heappush(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    spy = SimpleNamespace(heapify=heapify, heappush=heappush, heappop=heapq.heappop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "heapq", spy)
+        out = list(stream_with_meanings(EvalContext(spec, mods), 2, 4000))
+    assert pushed and out
+    for size, text, _, psi, _ in pushed:
+        assert (size, text) == (formula_size(psi), print_formula(psi))
+    for phi, _, text in out:
+        assert text == print_formula(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +456,52 @@ def test_partition_matches_refinement_oracle(model):
     for b in range(len(part.ctx.configs)):
         chi = part.characteristic(b)
         assert part.ctx.meaning(chi) == part.cells[part.cell_index_of(b)]
+
+
+class _SplitLoopPartition(JointPartition):
+    """JointPartition with the split step it had before the no-split
+    pre-pass: every test rebuilds the cell list and renders both signed
+    entries with print_formula, ignoring the text the wave carries.  The
+    reference for cells, paths and tests."""
+
+    def _apply(self, phi, mask, text):
+        split_any = False
+        new_cells = []
+        for cell in self.cells:
+            inside = cell & mask
+            outside = cell & ~mask
+            if inside and outside:
+                if not split_any:
+                    neg = Not(phi)
+                    signed = ((print_formula(phi), phi), (print_formula(neg), neg))
+                    split_any = True
+                new_cells.extend((inside, outside))
+                path = self.paths.pop(cell)
+                for child, entry in zip((inside, outside), signed):
+                    self.paths[child] = (*path, entry)
+            else:
+                new_cells.append(cell)
+        if split_any:
+            self.cells = sorted(new_cells, key=lambda c: c & -c)
+            self.tests.append((phi, mask))
+        return split_any
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["bml", "hl-at", "ml-diamond", "ml-full"]), st.data())
+def test_partition_matches_split_loop_reference(name, data):
+    spec = DIALECTS[name]
+    mods = [
+        data.draw(models(sig=sig_for(spec), max_worlds=3, allow_mem=spec.allows("known")))
+        for _ in range(2)
+    ]
+    depth = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    new = JointPartition(spec, mods, max_depth=depth)
+    old = _SplitLoopPartition(spec, mods, max_depth=depth)
+    assert new.cells == old.cells
+    assert new.paths == old.paths
+    assert new.tests == old.tests
+    assert (new.depth, new.saturated) == (old.depth, old.saturated)
 
 
 def _pairwise_characteristic(part, bit):

@@ -141,6 +141,22 @@ def test_deep_distinguisher_is_built_without_recursion():
     assert print_formula(outcome.distinguisher) == "<r>" * 599 + "[r]false"
 
 
+def test_distinguisher_renders_each_part_once(monkeypatch):
+    """Each part's text is built from its own parts' texts, so the printer
+    runs a bounded number of times per level: the 200-level chain
+    distinguisher once cost about 200^2 / 2 renders, one full render of
+    each part per conjunction."""
+    from modalkit import syntax
+
+    calls = []
+    render = syntax._render
+    monkeypatch.setattr(syntax, "_render", lambda phi, ctx: calls.append(1) or render(phi, ctx))
+    outcome = bisimilar(BML, chain_model(200, "a"), "a0", chain_model(201, "b"), "b0")
+    assert len(calls) <= 5 * 200
+    monkeypatch.undo()
+    assert print_formula(outcome.distinguisher) == "<r>" * 199 + "[r]false"
+
+
 def test_memory_splits_what_bml_equates():
     refl, a = fixture_model("reflexive.km")
     cyc, b = fixture_model("two_cycle.km")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SIG, SIG_NOM, formulas, models, sig_for
+from conftest import SIG, SIG_NOM, chain_model, formulas, models, sig_for
+from modalkit.equivalence import bisimilar
 from modalkit.errors import (
     OperatorNotInDialectError,
     UnassignedNominalError,
@@ -180,6 +181,16 @@ def test_errors_follow_the_evaluation_order():
     assert not check(m, "a", Diamond("r", Nom("i")))
     with pytest.raises(UnassignedNominalError):
         check(m, "a", And(Top(), Nom("i")))
+
+
+def test_checks_a_distinguisher_deeper_than_the_recursion_limit():
+    """The 600-level distinguisher that bisimilar returns for a 600-world
+    chain against a 601-world one is checked on both, without a
+    RecursionError."""
+    left, right = chain_model(600, "a"), chain_model(601, "b")
+    phi = bisimilar(DIALECTS["bml"], left, "a0", right, "b0").distinguisher
+    assert check(left, "a0", phi)
+    assert not check(right, "b0", phi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Parser, printer, dialect table, and the small formula utilities."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import NESTED, SIG, SIG_NOM, formulas, sig_for
 from modalkit.errors import (
@@ -33,14 +36,19 @@ from modalkit.syntax import (
     Remember,
     Signature,
     Top,
+    DBox,
     conjoin,
+    conjoin_sorted,
     disjoin,
+    disjoin_sorted,
     formula_size,
     get_dialect,
     modal_depth,
     parse_formula,
     print_formula,
+    unary_prefix,
     validate_formula,
+    wrap,
 )
 
 # A permissive dialect for parser tests that combine operator families.
@@ -278,3 +286,34 @@ def test_conjoin_disjoin():
     assert print_formula(conjoin([q, p])) == "p & q"  # sorted by rendered text
     assert print_formula(disjoin([q, p, q])) == "p | q"
     assert conjoin([p]) == p
+
+
+# Every unary operator, and the dual form ``modality`` writes for a missing one.
+UNARY_BUILDERS = [
+    Not,
+    partial(Diamond, "r"),
+    partial(Box, "r"),
+    partial(DDiamond, "r"),
+    partial(DBox, "r"),
+    Remember,
+    Forget,
+    Erase,
+    partial(At, "i"),
+    lambda sub: Not(Box("r", Not(sub))),
+]
+
+
+@given(formulas(ALL, SIG_NOM))
+def test_wrap_is_the_printers_unary_rule(phi):
+    text = print_formula(phi)
+    for build in UNARY_BUILDERS:
+        assert wrap(unary_prefix(build), phi, text) == print_formula(build(phi))
+
+
+@given(st.lists(formulas(ALL, SIG_NOM, max_leaves=4), max_size=4))
+def test_sorted_folds_carry_the_printed_text(parts):
+    entries = sorted({print_formula(p): p for p in parts}.items())
+    for fold, plain in ((conjoin_sorted, conjoin), (disjoin_sorted, disjoin)):
+        text, phi = fold(entries)
+        assert phi == plain(parts)
+        assert text == print_formula(phi)
