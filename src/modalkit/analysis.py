@@ -24,7 +24,7 @@ from .errors import (
     UnknownNameError,
     UnsupportedFeaturesError,
 )
-from .kripke import KripkeModel, PointedModel, load_model
+from .kripke import KripkeModel, PointedModel, load_model_file
 from .semantics import check
 from .syntax import Formula, LogicSpec, disjoin, print_formula
 
@@ -105,7 +105,7 @@ def load_universe(directory: str | Path) -> Universe:
     members: list[PointedModel] = []
     seen: set[tuple[KripkeModel, str]] = set()
     for path in sorted(directory.glob("*.km")):
-        model, point = load_model(path.read_text(encoding="utf-8"))
+        model, point = load_model_file(path)
         if point is None:
             raise ModelFormatError(1, f"{path.name}: universe members need a point directive")
         key = (model, point)
@@ -276,7 +276,7 @@ def definability_check(
     in_bits = [bits[k] for k in inside]
     out_bits = [bits[k] for k in outside]
     try:
-        for phi, mask, _ in stream_with_meanings(ctx, max_depth, budget):
+        for phi, mask in stream_with_meanings(ctx, max_depth, budget):
             if all((mask >> b) & 1 for b in in_bits) and not any(
                 (mask >> b) & 1 for b in out_bits
             ):

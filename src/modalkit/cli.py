@@ -28,7 +28,7 @@ from .enumeration import separating_formula
 from .equivalence import bisimilar, serialize_witness, simulated_by
 from .errors import ModalkitError
 from .games import Game, format_transcript
-from .kripke import GenParams, KripkeModel, load_model, random_model, save_model
+from .kripke import GenParams, KripkeModel, load_model_file, random_model, save_model
 from .semantics import EvalConfig, check
 from .syntax import (
     DIALECTS,
@@ -70,7 +70,7 @@ def _infer_signature(text: str, models: list[KripkeModel]) -> Signature:
 
 
 def _load(path: str) -> tuple[KripkeModel, str | None]:
-    return load_model(Path(path).read_text(encoding="utf-8"))
+    return load_model_file(Path(path))
 
 
 def _pick_world(explicit: str | None, point: str | None, path: str) -> str:

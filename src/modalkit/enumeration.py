@@ -22,8 +22,9 @@ Two engines share the context:
 
 - ``enumerate_formulas`` produces the canonical stream: formulas grouped by
   modal depth, within a depth stratum ordered by node count and rendered
-  text (each computed from the operand's by the printer's own rule), each
-  yielded formula having a meaning not seen before.  The stream is
+  text, each yielded formula having a meaning not seen before.  A formula
+  is built only when its meaning is new, and is printed over its printed
+  operand in one step.  The stream is
   conjunction-free; it is a sound basis for theory comparison (related
   points agree on all of it) and a practical basis for small-definition
   synthesis, but it does not enumerate every boolean combination.
@@ -89,12 +90,9 @@ from .syntax import (
     Prop,
     Remember,
     Top,
-    conjoin_sorted,
-    formula_size,
+    conjoin,
     modality,
     print_formula,
-    unary_prefix,
-    wrap,
 )
 
 MEMORY_CHANGING = frozenset({"remember", "forget", "erase", "ddiamond", "dbox"})
@@ -285,56 +283,46 @@ class EvalContext:
 
 
 def stream_with_meanings(ctx: EvalContext, max_depth: int, budget: int):
-    """Yield (formula, meaning mask, rendered text) triples of the canonical
-    stream; raise BudgetExceededError when more than ``budget`` distinct
-    meanings would be produced before the depth bound is exhausted."""
-    updates = _with_prefixes(ctx.updates)
-    modal = _with_prefixes(
+    """Yield (formula, meaning mask) pairs of the canonical stream; raise
+    BudgetExceededError when more than ``budget`` distinct meanings would be
+    produced before the depth bound is exhausted.  Only formulas of unseen
+    masks are built: ``seen`` only grows, so the rest would be dropped."""
+    modal = [
         (partial(MODALITIES[op], r), partial(ctx.modal_t, op, r))
         for r in ctx.rels
         for op in MODALITIES
         if ctx.spec.allows(op)
-    )
+    ]
     seen: set[int] = set()
     tick = iter(range(10**12))
 
-    # (node count, text, formula, meaning)
-    seeds = [
-        (formula_size(phi), print_formula(phi), phi, mask)
-        for phi, mask in [(Top(), ctx.full), (Bottom(), 0), *ctx.atoms]
-    ]
+    # (node count, formula, meaning); the atoms have one node each
+    seeds = [(1, phi, mask) for phi, mask in [(Top(), ctx.full), (Bottom(), 0), *ctx.atoms]]
     for depth in range(max_depth + 1):
-        heap = [(size, text, next(tick), phi, mask) for size, text, phi, mask in seeds]
+        heap = [(size, print_formula(phi), next(tick), phi, mask) for size, phi, mask in seeds]
         heapq.heapify(heap)
         accepted = []
         while heap:
-            size, text, _, phi, mask = heapq.heappop(heap)
+            size, _, _, phi, mask = heapq.heappop(heap)
             if mask in seen:
                 continue
             if len(seen) >= budget:
                 raise BudgetExceededError(budget)
             seen.add(mask)
-            accepted.append((size, text, phi, mask))
-            yield phi, mask, text
-            for build, transform, prefix in updates:
-                heapq.heappush(
-                    heap,
-                    (size + 1, wrap(prefix, phi, text), next(tick), build(phi), transform(mask)),
-                )
+            accepted.append((size, phi, mask))
+            yield phi, mask
+            for build, transform in ctx.updates:
+                if (m := transform(mask)) not in seen:
+                    psi = build(phi)
+                    heapq.heappush(heap, (size + 1, print_formula(psi), next(tick), psi, m))
         if not accepted:
             return
         seeds = [
-            (size + 1, wrap(prefix, phi, text), build(phi), transform(mask))
-            for size, text, phi, mask in accepted
-            for build, transform, prefix in modal
+            (size + 1, build(phi), m)
+            for size, phi, mask in accepted
+            for build, transform in modal
+            if (m := transform(mask)) not in seen
         ]
-
-
-def _with_prefixes(ops) -> list[tuple[Callable[[Formula], Formula], Callable[[int], int], str]]:
-    """(formula builder, mask transform) pairs with the text each builder
-    writes before its operand, so a built formula's text is read off its
-    operand's with ``wrap``."""
-    return [(build, transform, unary_prefix(build)) for build, transform in ops]
 
 
 def enumerate_formulas(
@@ -347,7 +335,7 @@ def enumerate_formulas(
     """The canonical stream of meaning-distinct formulas over the models (see
     module docstring for the ordering guarantees)."""
     ctx = EvalContext(spec, models)
-    for phi, _, _ in stream_with_meanings(ctx, max_depth, budget):
+    for phi, _ in stream_with_meanings(ctx, max_depth, budget):
         yield phi
 
 
@@ -364,10 +352,10 @@ def joint_theories(
     ctx = EvalContext(spec, [pm.model for pm in pointed])
     bits = [ctx.start_bit(k, pm.world) for k, pm in enumerate(pointed)]
     out: list[set[str]] = [set() for _ in pointed]
-    for _, mask, text in stream_with_meanings(ctx, depth, budget):
+    for phi, mask in stream_with_meanings(ctx, depth, budget):
         for k, b in enumerate(bits):
             if (mask >> b) & 1:
-                out[k].add(text)
+                out[k].add(print_formula(phi))
     return [frozenset(s) for s in out]
 
 
@@ -387,12 +375,11 @@ class JointPartition:
     ``tests`` lists the formulas that split some class, with their meanings,
     in split order; ``paths`` maps each class to the signed tests (the test
     where the class fell inside, its negation where it fell outside) on its
-    way down from the whole space, in split order, as (rendered text,
-    formula) entries; each test's text is built from its operand's, as the
-    stream builds its keys.  The first test that
+    way down from the whole space, in split order.  The first test that
     tells two classes apart is the one that split their last common
     ancestor, so both queries below read a path instead of searching the
-    tests.
+    tests.  As in the stream, a wave builds a formula only for a mask it has
+    not seen.
     """
 
     def __init__(
@@ -412,7 +399,7 @@ class JointPartition:
         self.tests: list[tuple[Formula, int]] = []
         self.cells: list[int] = [self.ctx.full] if self.ctx.full else []
         # cell -> the signed tests that carved it out, in split order
-        self.paths: dict[int, tuple[tuple[str, Formula], ...]] = {cell: () for cell in self.cells}
+        self.paths: dict[int, tuple[Formula, ...]] = {cell: () for cell in self.cells}
         self.depth = 0
         self.saturated = False
         self._run(max_depth, max_tests)
@@ -423,34 +410,33 @@ class JointPartition:
         ctx = self.ctx
         seen: set[int] = set()
 
-        updates = _with_prefixes(ctx.updates)
-
-        def wave(batch: list[tuple[Formula, int, str]]) -> bool:
+        def wave(batch: list[tuple[Formula, int]]) -> bool:
             split_any = False
             queue = deque(batch)
             while queue:
-                phi, mask, text = queue.popleft()
+                phi, mask = queue.popleft()
                 if mask in seen:
                     continue
                 if len(seen) >= max_tests:
                     raise BudgetExceededError(max_tests)
                 seen.add(mask)
-                if self._apply(phi, mask, text):
+                if self._apply(phi, mask):
                     split_any = True
-                for build, transform, prefix in updates:
-                    queue.append((build(phi), transform(mask), wrap(prefix, phi, text)))
+                for build, transform in ctx.updates:
+                    if (m := transform(mask)) not in seen:
+                        queue.append((build(phi), m))
             return split_any
 
-        diamonds = _with_prefixes(
+        diamonds = [
             (partial(modality, self.spec, op, r), partial(ctx.modal_t, op, r))
             for r in ctx.rels
             for op, dual in (("diamond", "box"), ("ddiamond", "dbox"))
             if self.spec.allows(op) or self.spec.allows(dual)
-        )
+        ]
         # A cell seeded at an earlier wave still yields the masks it yielded
         # then, all of them in ``seen`` already.
         seeded: set[int] = set()
-        changed = wave([(phi, mask, print_formula(phi)) for phi, mask in ctx.atoms])
+        changed = wave(ctx.atoms)
         while True:
             if max_depth is not None and self.depth >= max_depth:
                 self.saturated = not changed
@@ -464,21 +450,22 @@ class JointPartition:
                 if cell in seeded:
                     continue
                 seeded.add(cell)
-                text, chi = _conjunction(self.paths[cell])
+                chi = conjoin(self.paths[cell])
                 seeds.extend(
-                    (build(chi), transform(cell), wrap(prefix, chi, text))
-                    for build, transform, prefix in diamonds
+                    (build(chi), m)
+                    for build, transform in diamonds
+                    if (m := transform(cell)) not in seen
                 )
             changed = wave(seeds)
 
-    def _apply(self, phi: Formula, mask: int, text: str) -> bool:
+    def _apply(self, phi: Formula, mask: int) -> bool:
         rest = ~mask
         for cell in self.cells:
             if cell & mask and cell & rest:
                 break
         else:
             return False
-        signed = ((text, phi), (wrap("~", phi, text), Not(phi)))
+        neg = Not(phi)
         new_cells = []
         for cell in self.cells:
             inside = cell & mask
@@ -486,8 +473,7 @@ class JointPartition:
             if inside and outside:
                 new_cells.extend((inside, outside))
                 path = self.paths.pop(cell)
-                for child, entry in zip((inside, outside), signed):
-                    self.paths[child] = (*path, entry)
+                self.paths[inside], self.paths[outside] = (*path, phi), (*path, neg)
             else:
                 new_cells.append(cell)
         self.cells = sorted(new_cells, key=lambda c: c & -c)
@@ -505,7 +491,7 @@ class JointPartition:
     def characteristic(self, bit: int) -> Formula:
         """A formula true exactly on the bit's meaning class: the conjunction
         of the signed tests on its split path."""
-        return _conjunction(self.paths[self.cells[self.cell_index_of(bit)]])[1]
+        return conjoin(self.paths[self.cells[self.cell_index_of(bit)]])
 
     def separator_between(self, bit_true: int, bit_false: int) -> Formula | None:
         """A minimal-wave formula true at the first configuration and false
@@ -514,13 +500,7 @@ class JointPartition:
         mine = self.paths[self.cells[self.cell_index_of(bit_true)]]
         theirs = self.paths[self.cells[self.cell_index_of(bit_false)]]
         # paths share their common prefix object for object
-        return next((a[1] for a, b in zip(mine, theirs) if a is not b), None)
-
-
-def _conjunction(path: tuple[tuple[str, Formula], ...]) -> tuple[str, Formula]:
-    """``conjoin`` of a path's formulas, with its text: sorted by text,
-    keeping the last of equal texts."""
-    return conjoin_sorted(sorted(dict(path).items()))
+        return next((a for a, b in zip(mine, theirs) if a is not b), None)
 
 
 # ---------------------------------------------------------------------------

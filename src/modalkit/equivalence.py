@@ -46,7 +46,6 @@ reads by configuration pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .configs import (
     CLAUSES,
@@ -66,12 +65,9 @@ from .syntax import (
     Nom,
     Not,
     Prop,
-    conjoin_sorted,
-    disjoin_sorted,
+    conjoin,
+    disjoin,
     modality,
-    print_formula,
-    unary_prefix,
-    wrap,
 )
 
 DEFAULT_MAX_PAIRS = 2**20
@@ -318,48 +314,35 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, pair: Pair) -> Formula:
     false on the right) from the fixpoint's deletion reasons.  Each pair's
     ``build`` is a generator that yields the pairs whose formulas it needs;
     they run on an explicit stack, so a formula may nest deeper than Python's
-    recursion limit.  Each formula comes with its text, built from its
-    parts' texts, so no part is rendered again to sort a conjunction."""
-    memo: dict[Pair, tuple[str, Formula]] = {}
-    prefixes: dict[tuple, str] = {}
-
-    def atom(phi: Formula) -> tuple[str, Formula]:
-        return print_formula(phi), phi
-
-    def over(key: tuple, build, part: tuple[str, Formula]) -> tuple[str, Formula]:
-        """build applied to a (text, formula) part, as such an entry."""
-        if key not in prefixes:
-            prefixes[key] = unary_prefix(build)
-        text, sub = part
-        return wrap(prefixes[key], sub, text), build(sub)
+    recursion limit.  ``conjoin`` and ``disjoin`` print the parts to sort
+    them, so each part is printed as it is built, over printed parts."""
+    memo: dict[Pair, Formula] = {}
 
     def build(pair: Pair):
         _, reason = engine.death(pair)
         match reason:
             case ("agree", p, "left"):
-                return atom(Prop(p))
+                return Prop(p)
             case ("agree", p, "right"):
-                return atom(Not(Prop(p)))
+                return Not(Prop(p))
             case ("kagree", "left"):
-                return atom(Known())
+                return Known()
             case ("kagree", "right"):
-                return atom(Not(Known()))
+                return Not(Known())
             case ("nagree", i, "left"):
-                return atom(Nom(i))
+                return Nom(i)
             case ("nagree", i, "right"):
-                return atom(Not(Nom(i)))
+                return Not(Nom(i))
             case (("remember" | "forget" | "erase" | "nom") as kind, info, image):
-                return over((kind, info), partial(closure_formula, kind, info), (yield image))
+                return closure_formula(kind, info, (yield image))
             case (("forth" | "back" | "mforth" | "mback") as name, rel, target):
                 side, traced = CLAUSES[name]
                 _, replies, join = engine.moves(pair, rel, side, traced)
                 parts = []
                 for u in replies:
                     parts.append((yield join(target, u)))
-                fold = conjoin_sorted if side == "left" else disjoin_sorted
-                sub = fold(sorted(dict(parts).items()))
-                op = _CLAUSE_OPERATOR[name]
-                return over((op, rel), partial(modality, spec, op, rel), sub)
+                sub = conjoin(parts) if side == "left" else disjoin(parts)
+                return modality(spec, _CLAUSE_OPERATOR[name], rel, sub)
         raise AssertionError(f"unknown deletion reason {reason!r}")
 
     stack, sent = [(pair, build(pair))], None
@@ -374,7 +357,7 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, pair: Pair) -> Formula:
             sent = memo.get(need)
             if sent is None:
                 stack.append((need, build(need)))
-    return sent[1]
+    return sent
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ false everywhere; relations absent from ``rel`` are empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import (
     InvariantViolationError,
@@ -144,6 +145,16 @@ def mem_wipe(model: KripkeModel) -> KripkeModel:
 
 # ---------------------------------------------------------------------------
 # Text format
+
+
+def load_model_file(path: Path) -> tuple[KripkeModel, str | None]:
+    """``load_model`` of a file's text, which must be UTF-8."""
+    data = path.read_bytes()
+    try:
+        return load_model(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ModelFormatError(line, f"not UTF-8 text ({exc.reason})") from None
 
 
 def load_model(text: str) -> tuple[KripkeModel, str | None]:

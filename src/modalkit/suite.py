@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import semantics
 from .analysis import minimize_map
-from .equivalence import bisimilar
+from .equivalence import bisimilar, conditions_for
 from .errors import InvariantViolationError
 from .fo import fo_check
 from .games import solve_game
@@ -228,13 +228,12 @@ def relation_theory_suite(seed: int = 2026, cases: int = 60) -> SuiteReport:
     rng = SplitMix64(seed)
     dialects = sorted(DIALECTS)
     failures = []
-    memory_ops = {"remember", "forget", "erase", "ddiamond", "dbox"}
     for k in range(cases):
         spec = get_dialect(dialects[k % len(dialects)])
         sig = _sig_for(spec)
         model = _random_case_model(spec, rng, max_worlds=3)
         start = model.worlds[rng.next_below(len(model.worlds))]
-        if spec.operators & memory_ops:
+        if conditions_for(spec).memory_active:
             other, renamed = _extend_unreachably(model, rng)
             twin = renamed[start]
             label = "unreachable extension"

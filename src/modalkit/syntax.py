@@ -548,62 +548,53 @@ def print_formula(phi: Formula) -> str:
     return _render(phi, 0)
 
 
-def wrap(prefix: str, sub: Formula, text: str) -> str:
-    """The printer's text of a unary operator written ``prefix`` applied to
-    sub, whose own text is ``text``: the operand goes in parentheses when it
-    is a binary connective."""
-    return f"{prefix}({text})" if type(sub) in _PREC else prefix + text
-
-
-def unary_prefix(build) -> str:
-    """What a chain of unary operators writes before its operand: the text
-    of ``build(true)`` without the ``true``."""
-    return print_formula(build(Top()))[: -len("true")]
-
-
 def _render(phi: Formula, ctx: int) -> str:
-    match phi:
-        case Top():
-            return "true"
-        case Bottom():
-            return "false"
-        case Known():
-            return "known"
-        case Prop(name):
-            return name
-        case Nom(name):
-            return f"'{name}"
-        case Not(sub):
-            return wrap("~", sub, _render(sub, 0))
-        case Diamond(rel, sub):
-            return wrap(f"<{rel}>", sub, _render(sub, 0))
-        case Box(rel, sub):
-            return wrap(f"[{rel}]", sub, _render(sub, 0))
-        case DDiamond(rel, sub):
-            return wrap(f"<<{rel}>>", sub, _render(sub, 0))
-        case DBox(rel, sub):
-            return wrap(f"[[{rel}]]", sub, _render(sub, 0))
-        case At(nom, sub):
-            return wrap(f"@{nom} ", sub, _render(sub, 0))
-        case Remember(sub):
-            return wrap("rem ", sub, _render(sub, 0))
-        case Forget(sub):
-            return wrap("forg ", sub, _render(sub, 0))
-        case Erase(sub):
-            return wrap("erase ", sub, _render(sub, 0))
-        case And(a, b):
-            out = f"{_render(a, 3)} & {_render(b, 4)}"
-            return f"({out})" if ctx > 3 else out
-        case Or(a, b):
-            out = f"{_render(a, 2)} | {_render(b, 3)}"
-            return f"({out})" if ctx > 2 else out
-        case Implies(a, b):
-            out = f"{_render(a, 2)} -> {_render(b, 1)}"
-            return f"({out})" if ctx > 1 else out
-        case Iff(a, b):
-            out = f"{_render(a, 1)} <-> {_render(b, 0)}"
-            return f"({out})" if ctx > 0 else out
-    raise TypeError(f"not a formula: {phi!r}")
+    """phi's text in a context of precedence ctx.  A node keeps its text,
+    without outer parentheses, in its instance ``__dict__`` (not a field, so
+    ``==``, hash and repr ignore it): over printed parts it costs one step."""
+    text = phi.__dict__.get("_text")
+    if text is None:
+        match phi:
+            case Top():
+                text = "true"
+            case Bottom():
+                text = "false"
+            case Known():
+                text = "known"
+            case Prop(name):
+                text = name
+            case Nom(name):
+                text = f"'{name}"
+            case Not(sub):
+                text = f"~{_render(sub, 4)}"
+            case Diamond(rel, sub):
+                text = f"<{rel}>{_render(sub, 4)}"
+            case Box(rel, sub):
+                text = f"[{rel}]{_render(sub, 4)}"
+            case DDiamond(rel, sub):
+                text = f"<<{rel}>>{_render(sub, 4)}"
+            case DBox(rel, sub):
+                text = f"[[{rel}]]{_render(sub, 4)}"
+            case At(nom, sub):
+                text = f"@{nom} {_render(sub, 4)}"
+            case Remember(sub):
+                text = f"rem {_render(sub, 4)}"
+            case Forget(sub):
+                text = f"forg {_render(sub, 4)}"
+            case Erase(sub):
+                text = f"erase {_render(sub, 4)}"
+            case And(a, b):
+                text = f"{_render(a, 3)} & {_render(b, 4)}"
+            case Or(a, b):
+                text = f"{_render(a, 2)} | {_render(b, 3)}"
+            case Implies(a, b):
+                text = f"{_render(a, 2)} -> {_render(b, 1)}"
+            case Iff(a, b):
+                text = f"{_render(a, 1)} <-> {_render(b, 0)}"
+            case _:
+                raise TypeError(f"not a formula: {phi!r}")
+        phi.__dict__["_text"] = text
+    return f"({text})" if ctx > _PREC.get(type(phi), 4) else text
 
 
 def formula_size(phi: Formula) -> int:
@@ -623,37 +614,22 @@ def formula_size(phi: Formula) -> int:
 def conjoin(parts) -> Formula:
     """Left fold of And over the parts, deduplicated and sorted by rendered
     text; the empty conjunction is true."""
-    return conjoin_sorted(sorted({print_formula(p): p for p in parts}.items()))[1]
-
-
-def conjoin_sorted(entries) -> tuple[str, Formula]:
-    """``conjoin`` of parts given as (rendered text, formula) entries,
-    already sorted by text with each text once, as one such entry."""
-    return _fold(entries, And, " & ", Top())
+    return _fold(parts, And, Top())
 
 
 def disjoin(parts) -> Formula:
     """Left fold of Or, deduplicated and sorted by rendered text; the empty
     disjunction is false."""
-    return disjoin_sorted(sorted({print_formula(p): p for p in parts}.items()))[1]
+    return _fold(parts, Or, Bottom())
 
 
-def disjoin_sorted(entries) -> tuple[str, Formula]:
-    """``disjoin`` of (rendered text, formula) entries, already sorted by
-    text with each text once, as one such entry."""
-    return _fold(entries, Or, " | ", Bottom())
-
-
-def _fold(entries, cls, sep: str, empty: Formula) -> tuple[str, Formula]:
-    """Left fold of the binary connective cls over (text, formula) entries,
-    its text joined from theirs with the printer's parentheses: the first
-    operand of a left-nested fold at cls's own precedence, the rest one
-    above."""
-    if len(entries) < 2:
-        return entries[0] if entries else (print_formula(empty), empty)
-    texts, out = [], None
-    for text, p in entries:
-        ctx = _PREC[cls] + (out is not None)
-        texts.append(f"({text})" if _PREC.get(type(p), 4) < ctx else text)
-        out = p if out is None else cls(out, p)
-    return sep.join(texts), out
+def _fold(parts, cls, empty: Formula) -> Formula:
+    """Left fold of the binary connective cls over the parts, one per
+    rendered text (the last of equal texts), in text order."""
+    uniq = sorted({print_formula(p): p for p in parts}.items())
+    if not uniq:
+        return empty
+    out = uniq[0][1]
+    for _, p in uniq[1:]:
+        out = cls(out, p)
+    return out

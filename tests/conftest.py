@@ -8,6 +8,7 @@ path and keep shrinking fast.
 
 from __future__ import annotations
 
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from modalkit.syntax import (
     Diamond,
     Erase,
     Forget,
+    Formula,
     Iff,
     Implies,
     Known,
@@ -160,3 +162,77 @@ def formulas(spec: LogicSpec, sig: Signature | None = None, max_leaves: int = 6)
         return st.one_of(opts)
 
     return st.recursive(st.one_of(leaves), extend, max_leaves=max_leaves)
+
+
+# ---------------------------------------------------------------------------
+# Reference printer
+
+# The printer as it was before each node kept its printed text: a plain
+# recursion over the tree, kept verbatim as the reference for print_formula.
+
+# precedence: <-> 0, -> 1, | 2, & 3, unary/atoms 4
+_PREC = {Iff: 0, Implies: 1, Or: 2, And: 3}
+
+
+def reference_print(phi: Formula) -> str:
+    """The text print_formula must produce, rendered from scratch."""
+    return _render(phi, 0)
+
+
+def wrap(prefix: str, sub: Formula, text: str) -> str:
+    """The printer's text of a unary operator written ``prefix`` applied to
+    sub, whose own text is ``text``: the operand goes in parentheses when it
+    is a binary connective."""
+    return f"{prefix}({text})" if type(sub) in _PREC else prefix + text
+
+
+def _render(phi: Formula, ctx: int) -> str:
+    match phi:
+        case Top():
+            return "true"
+        case Bottom():
+            return "false"
+        case Known():
+            return "known"
+        case Prop(name):
+            return name
+        case Nom(name):
+            return f"'{name}"
+        case Not(sub):
+            return wrap("~", sub, _render(sub, 0))
+        case Diamond(rel, sub):
+            return wrap(f"<{rel}>", sub, _render(sub, 0))
+        case Box(rel, sub):
+            return wrap(f"[{rel}]", sub, _render(sub, 0))
+        case DDiamond(rel, sub):
+            return wrap(f"<<{rel}>>", sub, _render(sub, 0))
+        case DBox(rel, sub):
+            return wrap(f"[[{rel}]]", sub, _render(sub, 0))
+        case At(nom, sub):
+            return wrap(f"@{nom} ", sub, _render(sub, 0))
+        case Remember(sub):
+            return wrap("rem ", sub, _render(sub, 0))
+        case Forget(sub):
+            return wrap("forg ", sub, _render(sub, 0))
+        case Erase(sub):
+            return wrap("erase ", sub, _render(sub, 0))
+        case And(a, b):
+            out = f"{_render(a, 3)} & {_render(b, 4)}"
+            return f"({out})" if ctx > 3 else out
+        case Or(a, b):
+            out = f"{_render(a, 2)} | {_render(b, 3)}"
+            return f"({out})" if ctx > 2 else out
+        case Implies(a, b):
+            out = f"{_render(a, 2)} -> {_render(b, 1)}"
+            return f"({out})" if ctx > 1 else out
+        case Iff(a, b):
+            out = f"{_render(a, 1)} <-> {_render(b, 0)}"
+            return f"({out})" if ctx > 0 else out
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def reference_fold(parts, cls, empty: Formula) -> Formula:
+    """conjoin (cls And, empty true) or disjoin (Or, false) with the parts
+    sorted and deduplicated by their reference texts."""
+    uniq = sorted({reference_print(p): p for p in parts}.items())
+    return reduce(cls, (p for _, p in uniq)) if uniq else empty

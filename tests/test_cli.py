@@ -300,6 +300,20 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: line 2:")
+    latin = tmp_path / "latin.km"
+    latin.write_bytes(b"worlds: a\xff\n")
+    bytes_universe = tmp_path / "bytes_universe"
+    bytes_universe.mkdir()
+    (bytes_universe / "lit.km").write_bytes(b"worlds: a\nval p: a\npoint: a\n# \xe9\n")
+    for argv, line in (
+        (("check", "-m", str(latin), "-f", "p"), 1),
+        (("bisim", REFL, str(latin)), 1),
+        (("minimize", "-m", str(latin)), 1),
+        (("define", "--universe", str(bytes_universe), "--members", "lit"), 4),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: not UTF-8 text")
     missing = str(tmp_path / "no_universe")
     universe = tmp_path / "universe"
     universe.mkdir()

@@ -19,7 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_DIALECTS, SIG, SIG_NOM, fixture_model, models, sig_for
+from conftest import (
+    ALL_DIALECTS,
+    SIG,
+    SIG_NOM,
+    fixture_model,
+    models,
+    reference_fold,
+    reference_print,
+    sig_for,
+)
 from modalkit import enumeration
 from modalkit.configs import MEMORY_UPDATES, close, step_memory
 from modalkit.enumeration import (
@@ -44,6 +53,7 @@ from modalkit.kripke import KripkeModel, PointedModel
 from modalkit.semantics import check
 from modalkit.syntax import (
     DIALECTS,
+    And,
     At,
     Diamond,
     LogicSpec,
@@ -328,32 +338,36 @@ def test_stream_meanings_distinct_and_linear(data):
 @settings(max_examples=40)
 @given(st.sampled_from(ALL_DIALECTS), st.data())
 def test_stream_keys_are_size_and_text(name, data):
-    """Every key the stream pushes, built from its operand's key, is the
-    pushed formula's node count and printed text, and each yielded text is
-    the yielded formula's."""
+    """Every key the stream pushes, its size built from its operand's, is
+    the pushed formula's node count and its text as the reference printer
+    renders it; and every pushed formula has a mask not yet yielded."""
     spec = DIALECTS[name]
     mods = data.draw(
         st.lists(models(sig=sig_for(spec), max_worlds=2, allow_mem=True), min_size=1, max_size=2)
     )
-    pushed = []
+    pushed, out = [], []
+
+    def push(item):
+        assert item[4] not in {mask for _, mask in out}
+        pushed.append(item)
 
     def heapify(heap):
-        pushed.extend(heap)
+        for item in heap:
+            push(item)
         heapq.heapify(heap)
 
     def heappush(heap, item):
-        pushed.append(item)
+        push(item)
         heapq.heappush(heap, item)
 
     spy = SimpleNamespace(heapify=heapify, heappush=heappush, heappop=heapq.heappop)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "heapq", spy)
-        out = list(stream_with_meanings(EvalContext(spec, mods), 2, 4000))
+        for item in stream_with_meanings(EvalContext(spec, mods), 2, 4000):
+            out.append(item)
     assert pushed and out
     for size, text, _, psi, _ in pushed:
-        assert (size, text) == (formula_size(psi), print_formula(psi))
-    for phi, _, text in out:
-        assert text == print_formula(phi)
+        assert (size, text) == (formula_size(psi), reference_print(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -460,31 +474,31 @@ def test_partition_matches_refinement_oracle(model):
 
 class _SplitLoopPartition(JointPartition):
     """JointPartition with the split step it had before the no-split
-    pre-pass: every test rebuilds the cell list and renders both signed
-    entries with print_formula, ignoring the text the wave carries.  The
-    reference for cells, paths and tests."""
+    pre-pass: every test rebuilds the cell list.  The reference for cells,
+    paths and tests; its characteristic sorts a path by the reference
+    printer's texts."""
 
-    def _apply(self, phi, mask, text):
+    def _apply(self, phi, mask):
         split_any = False
         new_cells = []
         for cell in self.cells:
             inside = cell & mask
             outside = cell & ~mask
             if inside and outside:
-                if not split_any:
-                    neg = Not(phi)
-                    signed = ((print_formula(phi), phi), (print_formula(neg), neg))
-                    split_any = True
+                split_any = True
                 new_cells.extend((inside, outside))
                 path = self.paths.pop(cell)
-                for child, entry in zip((inside, outside), signed):
-                    self.paths[child] = (*path, entry)
+                self.paths[inside] = (*path, phi)
+                self.paths[outside] = (*path, Not(phi))
             else:
                 new_cells.append(cell)
         if split_any:
             self.cells = sorted(new_cells, key=lambda c: c & -c)
             self.tests.append((phi, mask))
         return split_any
+
+    def characteristic(self, bit):
+        return reference_fold(self.paths[self.cells[self.cell_index_of(bit)]], And, Top())
 
 
 @settings(max_examples=40)
@@ -502,6 +516,8 @@ def test_partition_matches_split_loop_reference(name, data):
     assert new.paths == old.paths
     assert new.tests == old.tests
     assert (new.depth, new.saturated) == (old.depth, old.saturated)
+    for b in range(len(new.ctx.configs)):
+        assert new.characteristic(b) == old.characteristic(b)
 
 
 def _pairwise_characteristic(part, bit):

@@ -1,12 +1,13 @@
 """Parser, printer, dialect table, and the small formula utilities."""
 
+from dataclasses import fields
 from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import NESTED, SIG, SIG_NOM, formulas, sig_for
+from conftest import NESTED, SIG, SIG_NOM, formulas, reference_fold, reference_print, sig_for
 from modalkit.errors import (
     InvariantViolationError,
     OperatorNotInDialectError,
@@ -37,18 +38,15 @@ from modalkit.syntax import (
     Signature,
     Top,
     DBox,
+    Formula,
     conjoin,
-    conjoin_sorted,
     disjoin,
-    disjoin_sorted,
     formula_size,
     get_dialect,
     modal_depth,
     parse_formula,
     print_formula,
-    unary_prefix,
     validate_formula,
-    wrap,
 )
 
 # A permissive dialect for parser tests that combine operator families.
@@ -303,17 +301,29 @@ UNARY_BUILDERS = [
 ]
 
 
-@given(formulas(ALL, SIG_NOM))
-def test_wrap_is_the_printers_unary_rule(phi):
-    text = print_formula(phi)
+def _cold(phi: Formula) -> Formula:
+    """phi rebuilt from new nodes, none of which has been printed."""
+    args = (getattr(phi, f.name) for f in fields(phi))
+    return type(phi)(*(_cold(a) if isinstance(a, Formula) else a for a in args))
+
+
+@given(formulas(ALL, SIG_NOM), st.lists(formulas(ALL, SIG_NOM, max_leaves=4), max_size=4))
+def test_printer_matches_the_reference(phi, parts):
+    """print_formula keeps each node's text on the node; what it prints
+    equals the plain recursive reference printer's text on a cold formula,
+    on a second print, and on formulas built over parts printed before,
+    whatever the precedence of the context they land in."""
+    expected = reference_print(phi)
+    cold = _cold(phi)
+    assert print_formula(cold) == expected
+    assert print_formula(cold) == expected
+    assert cold == phi and hash(cold) == hash(phi) and repr(cold) == repr(phi)
     for build in UNARY_BUILDERS:
-        assert wrap(unary_prefix(build), phi, text) == print_formula(build(phi))
-
-
-@given(st.lists(formulas(ALL, SIG_NOM, max_leaves=4), max_size=4))
-def test_sorted_folds_carry_the_printed_text(parts):
-    entries = sorted({print_formula(p): p for p in parts}.items())
-    for fold, plain in ((conjoin_sorted, conjoin), (disjoin_sorted, disjoin)):
-        text, phi = fold(entries)
-        assert phi == plain(parts)
-        assert text == print_formula(phi)
+        assert print_formula(build(cold)) == reference_print(build(phi))
+    for cls in (And, Or, Implies, Iff):
+        for left, right in ((cold, _cold(phi)), (_cold(phi), cold), (cold, cold)):
+            assert print_formula(cls(left, right)) == reference_print(cls(phi, phi))
+    for fold, cls, empty in ((conjoin, And, Top()), (disjoin, Or, Bottom())):
+        folded = fold(parts)
+        assert folded == reference_fold(parts, cls, empty)
+        assert print_formula(Not(folded)) == reference_print(Not(folded))
