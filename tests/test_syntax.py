@@ -307,23 +307,47 @@ def _cold(phi: Formula) -> Formula:
     return type(phi)(*(_cold(a) if isinstance(a, Formula) else a for a in args))
 
 
-@given(formulas(ALL, SIG_NOM), st.lists(formulas(ALL, SIG_NOM, max_leaves=4), max_size=4))
-def test_printer_matches_the_reference(phi, parts):
+@given(formulas(ALL, SIG_NOM))
+def test_printer_matches_the_reference(phi):
     """print_formula keeps each node's text on the node; what it prints
     equals the plain recursive reference printer's text on a cold formula,
-    on a second print, and on formulas built over parts printed before,
-    whatever the precedence of the context they land in."""
+    on a second print, and on binary formulas built over parts printed
+    before, whatever the precedence of the context they land in."""
     expected = reference_print(phi)
     cold = _cold(phi)
     assert print_formula(cold) == expected
     assert print_formula(cold) == expected
     assert cold == phi and hash(cold) == hash(phi) and repr(cold) == repr(phi)
-    for build in UNARY_BUILDERS:
-        assert print_formula(build(cold)) == reference_print(build(phi))
     for cls in (And, Or, Implies, Iff):
         for left, right in ((cold, _cold(phi)), (_cold(phi), cold), (cold, cold)):
             assert print_formula(cls(left, right)) == reference_print(cls(phi, phi))
+
+
+@given(formulas(ALL, SIG_NOM))
+def test_wrap_is_the_printers_unary_rule(phi):
+    """Every unary operator parenthesizes its operand as the reference
+    printer does, whether the operand was printed before or not."""
+    printed = _cold(phi)
+    print_formula(printed)
+    for build in UNARY_BUILDERS:
+        expected = reference_print(build(phi))
+        assert print_formula(build(_cold(phi))) == expected
+        assert print_formula(build(printed)) == expected
+
+
+@given(st.lists(formulas(ALL, SIG_NOM, max_leaves=4), max_size=4))
+def test_sorted_folds_carry_the_printed_text(parts):
+    """conjoin and disjoin sort and deduplicate their parts by printed text,
+    and the fold prints as the reference printer prints it, cold or over
+    parts printed before."""
     for fold, cls, empty in ((conjoin, And, Top()), (disjoin, Or, Bottom())):
-        folded = fold(parts)
-        assert folded == reference_fold(parts, cls, empty)
-        assert print_formula(Not(folded)) == reference_print(Not(folded))
+        expected = reference_fold(parts, cls, empty)
+        cold = fold([_cold(p) for p in parts])
+        printed = [_cold(p) for p in parts]
+        for p in printed:
+            print_formula(p)
+        warm = fold(printed)
+        assert cold == expected and warm == expected
+        for folded in (cold, warm):
+            assert print_formula(folded) == reference_print(expected)
+            assert print_formula(Not(folded)) == reference_print(Not(expected))
