@@ -193,11 +193,17 @@ def test_negative_distinguisher_depth_is_rejected():
             decide(ML, refl, a, cyc, b, distinguisher_depth=-1)
 
 
-def test_nominals_constrain_relatedness():
+def _named_models():
+    """A named reflexive world against a two-cycle naming one of its worlds."""
     named_loop = KripkeModel(("w",), {"r": frozenset({("w", "w")})}, {}, noms={"i": "w"})
     named_cycle = KripkeModel(
         ("b", "c"), {"r": frozenset({("b", "c"), ("c", "b")})}, {}, noms={"i": "b"}
     )
+    return named_loop, named_cycle
+
+
+def test_nominals_constrain_relatedness():
+    named_loop, named_cycle = _named_models()
     assert bisimilar(BML, named_loop, "w", named_cycle, "b").related
     out = bisimilar(DIALECTS["hl"], named_loop, "w", named_cycle, "b")
     assert not out.related
@@ -262,10 +268,27 @@ def test_verify_rejects_empty_relation():
 
 def test_verify_reports_static_violation():
     two, _ = fixture_model("fork_two.km")
-    bad = frozenset({_pair("w0", "u1")})  # u1 carries p, w0 does not
-    pair, reason = verify_relation(conditions_for(BML), two, two, bad)
-    assert pair == _pair("w0", "u1")
-    assert reason.startswith("static condition fails")
+    refl, _ = fixture_model("reflexive.km")
+    cyc, _ = fixture_model("two_cycle.km")
+    named_loop, named_cycle = _named_models()
+    bml, ml_d, hl = (conditions_for(DIALECTS[n]) for n in ("bml", "ml-ddiamond", "hl"))
+    replies = [_pair("a", "b"), _pair("a", "b", {"a"}, {"b"})]
+    cases = [
+        # (conditions, models, the failing pair, pairs before it, reason)
+        (bml, two, two, _pair("w0", "u1"), [], "('agree', 'p', 'right')"),  # u1 carries p
+        (bml, two, two, _pair("u1", "w0"), [], "('agree', 'p', 'left')"),
+        # the earlier pairs pass; then a is in its memory and c is not
+        (ml_d, refl, cyc, _pair("a", "c", {"a"}, {"b"}), replies, "('kagree', 'left')"),
+        (ml_d, refl, cyc, _pair("a", "b", {}, {"b"}), [], "('kagree', 'right')"),
+        (hl, named_loop, named_cycle, _pair("w", "c"), [], "('nagree', 'i', 'left')"),
+        (hl, named_cycle, named_loop, _pair("c", "w"), [], "('nagree', 'i', 'right')"),
+    ]
+    for conds, left, right, bad, before, reason in cases:
+        relation = frozenset([*before, bad])
+        assert verify_relation(conds, left, right, relation) == (
+            bad,
+            f"static condition fails: {reason}",
+        )
 
 
 def test_verify_reports_broken_forth():
@@ -275,6 +298,27 @@ def test_verify_reports_broken_forth():
     pair, reason = verify_relation(conditions_for(BML), big, small, partial)
     assert pair == _pair("b", "v")
     assert reason == "forth fails for r:d"
+    two, _ = fixture_model("fork_two.km")
+    three, _ = fixture_model("fork_three.km")
+    leaves = frozenset({_pair("w0", "v0"), _pair("u1", "t1"), _pair("u2", "t2")})
+    assert verify_relation(conditions_for(BML), two, three, leaves) == (
+        _pair("w0", "v0"),
+        "back fails for e:t3",
+    )
+    # one-directional agreement lets u1 carry p, but u1 has no successor
+    directed = directed_conditions(conditions_for(BML))
+    assert verify_relation(directed, two, two, frozenset({_pair("w0", "u1")})) == (
+        _pair("w0", "u1"),
+        "forth fails for e:u1",
+    )
+    refl, _ = fixture_model("reflexive.km")
+    cyc, _ = fixture_model("two_cycle.km")
+    no_traced_reply = frozenset({_pair("a", "b"), _pair("a", "b", {"a"}, {"b"})})
+    ml_d = conditions_for(DIALECTS["ml-ddiamond"])
+    assert verify_relation(ml_d, refl, cyc, no_traced_reply) == (
+        _pair("a", "b"),
+        "mforth fails for r:a",
+    )
 
 
 def test_verify_reports_missing_memory_closure():
@@ -284,6 +328,13 @@ def test_verify_reports_missing_memory_closure():
     pair, reason = verify_relation(conditions_for(ML), cyc, refl, no_closure)
     assert pair == _pair("b", "a")
     assert reason == "closure condition remember leads outside the relation"
+    lit = KripkeModel(("w", "z"), {"r": frozenset()}, {"p": frozenset({"z"})}, noms={"i": "z"})
+    unlit = KripkeModel(("v", "y"), {"r": frozenset()}, {"p": frozenset()}, noms={"i": "y"})
+    no_jump = frozenset({_pair("w", "v")})
+    assert verify_relation(conditions_for(DIALECTS["hl-at"]), lit, unlit, no_jump) == (
+        _pair("w", "v"),
+        "closure condition nom i leads outside the relation",
+    )
 
 
 @settings(max_examples=40)
