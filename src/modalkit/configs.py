@@ -14,19 +14,20 @@ place that says how a configuration changes:
     ``(name, side, traced)``: the side whose successor is chosen first and
     whether the step is traced.
 
-``PairSpace`` applies these to configuration pairs over two models under one
-condition set (see ``equivalence.SimConditions``); the game and
-``verify_relation`` read the static check, the closure images and the modal
-moves from it.  ``ConfigTable`` compiles one model's side of a pair space:
-it interns each configuration as an int in first-seen order, keeps its
-atomic signature as an int (the proposition bits in ``PairSpace.props``
-order, then the ``known`` bit, then the nominal bits, each group only where
-its condition is on), caches on first use where each closure update and each
-modal step moves it, and keeps the inverse of each of those maps; the
-fixpoint in ``equivalence`` runs on these tables.  ``EvalContext`` lays out
-one ``ConfigTable`` per model as its bit positions, reads its atom masks
-from the signatures and fills its per-operator predecessor tables from the
-tables' moves.
+``ConfigTable`` compiles one model's configurations: it interns each as an
+int in first-seen order, keeps its atomic signature as an int (the
+proposition bits in ``PairSpace.props`` order, then the ``known`` bit, then
+the nominal bits, each group only where its condition is on), caches on
+first use where each closure update and each modal step moves it, and keeps
+the inverse of each of those maps.  ``PairSpace`` holds what two tables
+share under one condition set (see ``equivalence.SimConditions``): the
+vocabulary, the active closures and clauses, and the static conditions on
+two signatures (``disagreement``, and ``static_reason`` naming its first
+bit).  The fixpoint, its distinguisher, ``verify_relation`` and the game run
+on table ids; a ``Config`` is built only by ``ConfigTable.intern`` and
+``initial_pair``.  ``EvalContext`` lays out one ``ConfigTable`` per model as
+its bit positions, reads its atom masks from the signatures and fills its
+per-operator predecessor tables from the tables' moves.
 """
 
 from __future__ import annotations
@@ -120,13 +121,6 @@ CLAUSES = {
 }
 
 
-def modal_clauses(conds: SimConditions) -> tuple[tuple[str, str, bool], ...]:
-    """The active modal clauses as (name, side, traced)."""
-    return tuple(
-        (name, side, traced) for name, (side, traced) in CLAUSES.items() if getattr(conds, name)
-    )
-
-
 def step_memory(mem: frozenset[str], world: str, traced: bool) -> frozenset[str]:
     """The memory after a modal step from (mem, world)."""
     return remember(mem, world) if traced else mem
@@ -179,9 +173,6 @@ class ConfigTable:
             self.sig.append(sig)
         return c
 
-    def id_of(self, config: Config) -> int:
-        return self.ids[(config.mem, config.world)]
-
     def move(self, op: Op, c: int) -> tuple[int, ...]:
         """The ids op moves configuration c to, interning them as needed."""
         tag, a, b = op
@@ -222,7 +213,15 @@ class PairSpace:
                 )
         self.noms = sorted(set(left.noms) & set(right.noms))
         self.closures = closures(conds, self.noms)
-        self.clauses = modal_clauses(conds)
+        # the active modal clauses as (name, side, traced)
+        self.clauses = tuple(
+            (name, side, traced) for name, (side, traced) in CLAUSES.items() if getattr(conds, name)
+        )
+        # The signature bits on which a pair fails the static conditions:
+        # where the sides differ, or only where the left side holds a bit
+        # when atomic agreement is one-directional.  No bits, no violation.
+        one_way = conds.atomic_one_directional
+        self.disagreement = (lambda s1, s2: s1 & ~s2) if one_way else int.__xor__
 
     def config_tables(self) -> tuple[ConfigTable, ...]:
         """A new ``ConfigTable`` per side, with the signature bits that the
@@ -230,63 +229,22 @@ class PairSpace:
         known, noms = self.conds.kagree, self.noms if self.conds.nagree else ()
         return tuple(ConfigTable(m, self.props, known, noms) for m in (self.left, self.right))
 
-    def static_violation(self, pair: Pair) -> tuple | None:
-        """The first atomic disagreement of the pair, or None."""
-        c1, c2 = pair
-        one_way = self.conds.atomic_one_directional
-        for p in self.props:
-            a = c1.world in self.left.val.get(p, frozenset())
-            b = c2.world in self.right.val.get(p, frozenset())
-            if a and not b:
-                return ("agree", p, "left")
-            if b and not a and not one_way:
-                return ("agree", p, "right")
+    def static_reason(self, sig1: int, sig2: int) -> tuple | None:
+        """The first atomic disagreement of two signatures, or None: the
+        lowest bit of their ``disagreement``, named ("agree", p, side),
+        ("kagree", side) or ("nagree", i, side) by the signature's bit order,
+        side being the one that holds the bit."""
+        bits = self.disagreement(sig1, sig2)
+        if not bits:
+            return None
+        low = bits & -bits
+        side = "left" if sig1 & low else "right"
+        k = low.bit_length() - 1
+        if k < len(self.props):
+            return ("agree", self.props[k], side)
+        k -= len(self.props)
         if self.conds.kagree:
-            a = c1.world in c1.mem
-            b = c2.world in c2.mem
-            if a and not b:
-                return ("kagree", "left")
-            if b and not a and not one_way:
-                return ("kagree", "right")
-        if self.conds.nagree:
-            for i in self.noms:
-                a = self.left.noms[i] == c1.world
-                b = self.right.noms[i] == c2.world
-                if a and not b:
-                    return ("nagree", i, "left")
-                if b and not a and not one_way:
-                    return ("nagree", i, "right")
-        return None
-
-    def closure_images(self, pair: Pair) -> list[tuple[str, str | None, Pair]]:
-        """Each closure update with the pair it leads to."""
-        sides = list(zip((self.left, self.right), pair))
-        return [
-            (kind, nom, tuple(Config(*close(kind, nom, m, c.mem, c.world)) for m, c in sides))
-            for kind, nom in self.closures
-        ]
-
-    def moves(
-        self, pair: Pair, rel: str, side: str, traced: bool
-    ) -> tuple[tuple[str, ...], tuple[str, ...], Callable[[str, str], Pair]]:
-        """A modal step along rel with ``side`` choosing first: its targets,
-        the other side's replies, and join(target, reply) -> the new pair."""
-        c1, c2 = pair
-        mem1 = step_memory(c1.mem, c1.world, traced)
-        mem2 = step_memory(c2.mem, c2.world, traced)
-        succ1 = self.left.successors(rel, c1.world)
-        succ2 = self.right.successors(rel, c2.world)
-        if side == "left":
-            return succ1, succ2, lambda t, u: (Config(mem1, t), Config(mem2, u))
-        return succ2, succ1, lambda t, u: (Config(mem1, u), Config(mem2, t))
-
-    def modal_violation(self, pair: Pair, related) -> tuple | None:
-        """The first modal clause the pair fails with respect to ``related``,
-        as (clause name, relation, unmatched target), or None."""
-        for rel in self.rels:
-            for name, side, traced in self.clauses:
-                targets, replies, join = self.moves(pair, rel, side, traced)
-                for t in targets:
-                    if not any(join(t, u) in related for u in replies):
-                        return (name, rel, t)
-        return None
+            if k == 0:
+                return ("kagree", side)
+            k -= 1
+        return ("nagree", self.noms[k], side)

@@ -38,9 +38,9 @@ Every check of a round reads the live set as the round found it and the
 round's deletions are applied after its last check, so each deleted pair's
 round (the modal depth ``fixpoint_separator`` reads) and reason are exactly
 those of synchronous rounds that re-check every live pair (Kanellakis &
-Smolka, Inf. & Comp. 86(1) 1990).  Configurations are rebuilt only at the
-edges: the witness, and ``_Engine.death``, which the distinguisher tracer
-reads by configuration pair.
+Smolka, Inf. & Comp. 86(1) 1990).  The distinguisher tracer reads the
+reasons and the tables' moves by id; configurations are rebuilt only for
+the witness.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 from .configs import (
     CLAUSES,
-    Config,
+    Config,  # re-exported: the pairs of a relation given to verify_relation
     Pair,
     PairSpace,
     closure_formula,
@@ -142,7 +142,8 @@ def serialize_witness(witness: frozenset[Pair]) -> str:
 class _Engine(PairSpace):
     """The fixpoint on pair ids p = c1 * K + c2 over the two models'
     ``ConfigTable``s; ``alive`` and ``dead`` (p -> (round, reason)) are keyed
-    by pair id, and ``death`` translates an entry back into configurations."""
+    by pair id; a pair that fails the static conditions has reason None,
+    and ``static_reason`` names its failure from the two signatures."""
 
     def __init__(
         self,
@@ -203,22 +204,20 @@ class _Engine(PairSpace):
 
     # -- the fixpoint --------------------------------------------------------
 
-    def run(self, initial: Pair) -> None:
+    def run(self, initial: Pair) -> int:
         """Round 1 checks every statically live pair; round r + 1 checks only
         the live predecessors of the pairs round r deleted, the only ones
         whose check can have changed.  Each round's checks all read
-        ``alive`` as the round found it."""
+        ``alive`` as the round found it.  Returns the initial pair's id."""
         pairs = self.materialize(initial)
         (t1, t2), K = self.tables, self.K
-        sig1, sig2 = t1.sig, t2.sig
-        one_way = self.conds.atomic_one_directional
+        sig1, sig2, disagreement = t1.sig, t2.sig, self.disagreement
         alive, dead = self.alive, self.dead
         for p in pairs:
-            s1, s2 = sig1[p // K], sig2[p % K]
-            if (s1 & ~s2 == 0) if one_way else (s1 == s2):
-                alive.add(p)
-            else:
+            if disagreement(sig1[p // K], sig2[p % K]):
                 dead[p] = (0, None)
+            else:
+                alive.add(p)
         self._closure_rows = [
             (kind, nom, t1.moves[("close", kind, nom)], t2.moves[("close", kind, nom)])
             for kind, nom in self.closures
@@ -250,6 +249,8 @@ class _Engine(PairSpace):
                         for a in sources:
                             frontier.update(map((a * K).__add__, replies))
             frontier &= alive
+        c1, c2 = initial
+        return t1.intern(c1.mem, c1.world) * K + t2.intern(c2.mem, c2.world)
 
     def violation(self, p: int) -> tuple | None:
         """The first failed condition of pair p against ``alive``: a closure
@@ -276,30 +277,9 @@ class _Engine(PairSpace):
 
     # -- the edges -----------------------------------------------------------
 
-    def pair(self, p: int) -> Pair:
-        c1, c2 = divmod(p, self.K)
-        return (self.tables[0].configs[c1], self.tables[1].configs[c2])
-
-    def pair_id(self, pair: Pair) -> int:
-        return self.tables[0].id_of(pair[0]) * self.K + self.tables[1].id_of(pair[1])
-
     def witness(self) -> frozenset[Pair]:
-        return frozenset(self.pair(p) for p in self.alive)
-
-    def death(self, pair: Pair) -> tuple[int, tuple] | None:
-        """(round, reason) of a deleted pair as the synchronous rounds state
-        it, with configurations and worlds in place of ids; None if alive."""
-        entry = self.dead.get(self.pair_id(pair))
-        if entry is None:
-            return None
-        rnd, reason = entry
-        if reason is None:
-            return (0, self.static_violation(pair))
-        name, info, target = reason
-        if name in CLAUSES:
-            table = self.tables[0 if CLAUSES[name][0] == "left" else 1]
-            return (rnd, (name, info, table.configs[target].world))
-        return (rnd, (name, info, self.pair(target)))
+        (t1, t2), K = self.tables, self.K
+        return frozenset((t1.configs[p // K], t2.configs[p % K]) for p in self.alive)
 
 
 # ---------------------------------------------------------------------------
@@ -308,44 +288,46 @@ class _Engine(PairSpace):
 # The operator whose truth a failed clause's distinguisher asserts.
 _CLAUSE_OPERATOR = {"forth": "diamond", "back": "box", "mforth": "ddiamond", "mback": "dbox"}
 
+# The atom a static reason names: asserted when the left side holds it,
+# negated when the right side does.
+_STATIC_ATOM = {"agree": Prop, "kagree": Known, "nagree": Nom}
 
-def _distinguisher(spec: LogicSpec, engine: _Engine, pair: Pair) -> Formula:
-    """Rebuild a distinguishing formula of a deleted pair (true on the left,
-    false on the right) from the fixpoint's deletion reasons.  Each pair's
-    ``build`` is a generator that yields the pairs whose formulas it needs;
-    they run on an explicit stack, so a formula may nest deeper than Python's
-    recursion limit.  ``conjoin`` and ``disjoin`` print the parts to sort
-    them, so each part is printed as it is built, over printed parts."""
-    memo: dict[Pair, Formula] = {}
 
-    def build(pair: Pair):
-        _, reason = engine.death(pair)
-        match reason:
-            case ("agree", p, "left"):
-                return Prop(p)
-            case ("agree", p, "right"):
-                return Not(Prop(p))
-            case ("kagree", "left"):
-                return Known()
-            case ("kagree", "right"):
-                return Not(Known())
-            case ("nagree", i, "left"):
-                return Nom(i)
-            case ("nagree", i, "right"):
-                return Not(Nom(i))
+def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
+    """Rebuild a distinguishing formula of a deleted pair id (true on the
+    left, false on the right) from the fixpoint's deletion reasons.  Each
+    pair's ``build`` is a generator that yields the pair ids whose formulas
+    it needs; they run on an explicit stack, so a formula may nest deeper
+    than Python's recursion limit.  ``conjoin`` and ``disjoin`` print the
+    parts to sort them, so each part is printed as it is built, over printed
+    parts."""
+    (t1, t2), K = engine.tables, engine.K
+    memo: dict[int, Formula] = {}
+
+    def build(p: int):
+        c1, c2 = divmod(p, K)
+        _, reason = engine.dead[p]
+        match reason or engine.static_reason(t1.sig[c1], t2.sig[c2]):
+            case (("agree" | "kagree" | "nagree") as kind, *name, side):
+                atom = _STATIC_ATOM[kind](*name)
+                return atom if side == "left" else Not(atom)
             case (("remember" | "forget" | "erase" | "nom") as kind, info, image):
                 return closure_formula(kind, info, (yield image))
             case (("forth" | "back" | "mforth" | "mback") as name, rel, target):
                 side, traced = CLAUSES[name]
-                _, replies, join = engine.moves(pair, rel, side, traced)
+                op = ("step", rel, traced)
+                if side == "left":
+                    replies = [target * K + u for u in t2.moves[op][c2]]
+                else:
+                    replies = [u * K + target for u in t1.moves[op][c1]]
                 parts = []
-                for u in replies:
-                    parts.append((yield join(target, u)))
+                for q in replies:
+                    parts.append((yield q))
                 sub = conjoin(parts) if side == "left" else disjoin(parts)
                 return modality(spec, _CLAUSE_OPERATOR[name], rel, sub)
         raise AssertionError(f"unknown deletion reason {reason!r}")
 
-    stack, sent = [(pair, build(pair))], None
+    stack, sent = [(start, build(start))], None
     while stack:
         top, gen = stack[-1]
         try:
@@ -379,9 +361,8 @@ def _solve(
     left.require_world(w)
     right.require_world(v)
     engine = _Engine(conds, left, right, max_pairs)
-    initial = initial_pair(left, w, right, v)
-    engine.run(initial)
-    if engine.death(initial) is None:
+    start = engine.run(initial_pair(left, w, right, v))
+    if start in engine.alive:
         return SimulationOutcome(True, engine.witness(), None)
     if conds.memory_active:
         if distinguisher_depth <= 0:
@@ -390,7 +371,7 @@ def _solve(
 
         phi = separating_formula(spec, left, w, right, v, depth=distinguisher_depth)
         return SimulationOutcome(False, None, phi)
-    return SimulationOutcome(False, None, _distinguisher(spec, engine, initial))
+    return SimulationOutcome(False, None, _distinguisher(spec, engine, start))
 
 
 def fixpoint_separator(
@@ -406,12 +387,10 @@ def fixpoint_separator(
     count modal depth: the traced distinguisher when the canonical fixpoint
     deletes the initial pair within ``depth`` rounds, else None."""
     engine = _Engine(conditions_for(spec), left, right, max_pairs)
-    initial = initial_pair(left, w, right, v)
-    engine.run(initial)
-    death = engine.death(initial)
-    if death is None or death[0] > depth:
+    start = engine.run(initial_pair(left, w, right, v))
+    if start in engine.alive or engine.dead[start][0] > depth:
         return None
-    return _distinguisher(spec, engine, initial)
+    return _distinguisher(spec, engine, start)
 
 
 def bisimilar(
@@ -457,23 +436,43 @@ def verify_relation(
     relation: frozenset[Pair] | set[Pair],
 ) -> tuple[Pair | None, str] | None:
     """Check a purported (bi)simulation directly against the defining
-    conditions; None if it passes, otherwise (offending pair, reason)."""
+    conditions; None if it passes, otherwise (offending pair, reason).  The
+    relation is interned into two fresh tables of its own and each pair is
+    checked once, in ``pair_key`` order.  A pair naming a world its model
+    does not have raises ``UnknownWorldError``."""
     if not relation:
         return (None, "a simulation must be non-empty")
     space = PairSpace(conds, left, right)
-    pairs = set(relation)
-    for pair in sorted(pairs, key=pair_key):
-        reason = space.static_violation(pair)
+    t1, t2 = space.config_tables()
+
+    def ids(pair: Pair) -> tuple[int, int]:
+        c1, c2 = pair
+        left.require_world(c1.world)
+        right.require_world(c2.world)
+        return t1.intern(c1.mem, c1.world), t2.intern(c2.mem, c2.world)
+
+    related = {ids(pair) for pair in relation}
+    for pair in sorted(relation, key=pair_key):
+        a, b = ids(pair)
+        reason = space.static_reason(t1.sig[a], t2.sig[b])
         if reason is not None:
             return (pair, f"static condition fails: {reason}")
-        for kind, info, image in space.closure_images(pair):
-            if image not in pairs:
+        for kind, info in space.closures:
+            op = ("close", kind, info)
+            if t1.move(op, a) + t2.move(op, b) not in related:
                 label = f"{kind} {info}" if info else kind
                 return (pair, f"closure condition {label} leads outside the relation")
-        failed = space.modal_violation(pair, pairs)
-        if failed is not None:
-            name, rel, target = failed
-            return (pair, f"{name} fails for {rel}:{target}")
+        for rel in space.rels:
+            for name, side, traced in space.clauses:
+                op = ("step", rel, traced)
+                succ1, succ2 = t1.move(op, a), t2.move(op, b)
+                if side == "left":
+                    failed = [t for t in succ1 if all((t, u) not in related for u in succ2)]
+                else:
+                    failed = [t for t in succ2 if all((u, t) not in related for u in succ1)]
+                if failed:
+                    table = t1 if side == "left" else t2
+                    return (pair, f"{name} fails for {rel}:{table.configs[failed[0]].world}")
     return None
 
 

@@ -112,8 +112,6 @@ class Game:
         self.conds = conditions_for(spec)
         space = self._space = PairSpace(self.conds, left, right)
         self._tables = space.config_tables()
-        one_way = self.conds.atomic_one_directional
-        self._agree = (lambda s1, s2: not s1 & ~s2) if one_way else int.__eq__
         self._closure_ops = [("close", kind, nom) for kind, nom in space.closures]
         # (rel, side, traced, op, mover's table index), in legal_moves order
         self._slots = [
@@ -171,16 +169,16 @@ class Game:
                 out.extend([(a, b, k, y, rounds) for y in tables[m].targets(op, pos[m])])
             return out
         _, _, _, op, m = self._slots[slot]
-        agree, sig1, sig2 = self._agree, t1.sig, t2.sig
+        clash, sig1, sig2 = self._space.disagreement, t1.sig, t2.sig
         if m:
-            return [(y, x, -1, -1, rounds) for y in t1.targets(op, a) if agree(sig1[y], sig2[x])]
-        return [(x, y, -1, -1, rounds) for y in t2.targets(op, b) if agree(sig1[x], sig2[y])]
+            return [(y, x, -1, -1, rounds) for y in t1.targets(op, a) if not clash(sig1[y], sig2[x])]
+        return [(x, y, -1, -1, rounds) for y in t2.targets(op, b) if not clash(sig1[x], sig2[y])]
 
     def _visit(self, pos: tuple) -> tuple[str | None, list[tuple]]:
         """The winner if pos is terminal, else None; and its successors."""
         a, b, slot, _, rounds = pos
         if slot < 0:
-            if not self._agree(self._tables[0].sig[a], self._tables[1].sig[b]):
+            if self._space.disagreement(self._tables[0].sig[a], self._tables[1].sig[b]):
                 return "spoiler", []
             if rounds is not None and rounds <= 0:
                 return "duplicator", []

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from modalkit.configs import Config, Pair, PairSpace, close, step_memory
 from modalkit.kripke import KripkeModel, PointedModel
 from modalkit.kripke import load_model as _load_model
 from modalkit.syntax import (
@@ -236,3 +237,75 @@ def reference_fold(parts, cls, empty: Formula) -> Formula:
     sorted and deduplicated by their reference texts."""
     uniq = sorted({reference_print(p): p for p in parts}.items())
     return reduce(cls, (p for _, p in uniq)) if uniq else empty
+
+
+# ---------------------------------------------------------------------------
+# Reference pair space
+
+# PairSpace's rules as it stated them on Config pairs before the fixpoint,
+# the distinguisher and verify_relation moved to table ids: kept verbatim as
+# the reference for static_reason, the synchronous rounds and the game.
+
+
+class RefSpace(PairSpace):
+    """The static check, closure images and modal moves on ``Config``
+    pairs."""
+
+    def static_violation(self, pair: Pair) -> tuple | None:
+        """The first atomic disagreement of the pair, or None."""
+        c1, c2 = pair
+        one_way = self.conds.atomic_one_directional
+        for p in self.props:
+            a = c1.world in self.left.val.get(p, frozenset())
+            b = c2.world in self.right.val.get(p, frozenset())
+            if a and not b:
+                return ("agree", p, "left")
+            if b and not a and not one_way:
+                return ("agree", p, "right")
+        if self.conds.kagree:
+            a = c1.world in c1.mem
+            b = c2.world in c2.mem
+            if a and not b:
+                return ("kagree", "left")
+            if b and not a and not one_way:
+                return ("kagree", "right")
+        if self.conds.nagree:
+            for i in self.noms:
+                a = self.left.noms[i] == c1.world
+                b = self.right.noms[i] == c2.world
+                if a and not b:
+                    return ("nagree", i, "left")
+                if b and not a and not one_way:
+                    return ("nagree", i, "right")
+        return None
+
+    def closure_images(self, pair: Pair) -> list[tuple[str, str | None, Pair]]:
+        """Each closure update with the pair it leads to."""
+        sides = list(zip((self.left, self.right), pair))
+        return [
+            (kind, nom, tuple(Config(*close(kind, nom, m, c.mem, c.world)) for m, c in sides))
+            for kind, nom in self.closures
+        ]
+
+    def moves(self, pair: Pair, rel: str, side: str, traced: bool):
+        """A modal step along rel with ``side`` choosing first: its targets,
+        the other side's replies, and join(target, reply) -> the new pair."""
+        c1, c2 = pair
+        mem1 = step_memory(c1.mem, c1.world, traced)
+        mem2 = step_memory(c2.mem, c2.world, traced)
+        succ1 = self.left.successors(rel, c1.world)
+        succ2 = self.right.successors(rel, c2.world)
+        if side == "left":
+            return succ1, succ2, lambda t, u: (Config(mem1, t), Config(mem2, u))
+        return succ2, succ1, lambda t, u: (Config(mem1, u), Config(mem2, t))
+
+    def modal_violation(self, pair: Pair, related) -> tuple | None:
+        """The first modal clause the pair fails with respect to ``related``,
+        as (clause name, relation, unmatched target), or None."""
+        for rel in self.rels:
+            for name, side, traced in self.clauses:
+                targets, replies, join = self.moves(pair, rel, side, traced)
+                for t in targets:
+                    if not any(join(t, u) in related for u in replies):
+                        return (name, rel, t)
+        return None

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIG, chain_model, fixture_model, models, sig_for
-from modalkit.configs import PairSpace, initial_pair
+from conftest import SIG, RefSpace, chain_model, fixture_model, models, sig_for
+from modalkit.configs import CLAUSES, initial_pair
 from modalkit.equivalence import (
     Config,
     SimConditions,
@@ -337,6 +337,16 @@ def test_verify_reports_missing_memory_closure():
     )
 
 
+def test_verify_rejects_unknown_worlds():
+    """A pair naming a world its model does not have is an error, not a
+    pair that passes (or fails) the conditions."""
+    line = KripkeModel(("a", "b"), {"r": frozenset({("a", "b")})}, {})
+    for name in ("bml", "hl-at"):
+        for bad in (_pair("zz", "zz"), _pair("a", "zz"), _pair("zz", "a")):
+            with pytest.raises(UnknownWorldError):
+                verify_relation(conditions_for(DIALECTS[name]), line, line, frozenset({bad}))
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_witnesses_verify(data):
@@ -372,7 +382,7 @@ def _synchronous_rounds(conds, left, right, initial):
     """The reference fixpoint on configuration pairs: every live pair is
     re-checked each round against the live set as the round found it.
     Returns (alive, dead) keyed by configuration pairs."""
-    space = PairSpace(conds, left, right)
+    space = RefSpace(conds, left, right)
     if conds.memory_active:
         steps = sorted({traced for _, _, traced in space.clauses})
         materialized = {initial}
@@ -438,17 +448,28 @@ def test_worklist_matches_synchronous_rounds(name, directed, data):
     engine = _Engine(conds, left, right, 2**20)
     engine.run(initial)
     alive, dead = _synchronous_rounds(conds, left, right, initial)
+    (t1, t2), K = engine.tables, engine.K
+
+    def pair(p):
+        return (t1.configs[p // K], t2.configs[p % K])
+
+    def death(p):
+        """The engine's (round, reason) of p in configurations and worlds."""
+        rnd, reason = engine.dead[p]
+        if reason is None:
+            return (0, engine.static_reason(t1.sig[p // K], t2.sig[p % K]))
+        name, info, target = reason
+        if name in CLAUSES:
+            table = t1 if CLAUSES[name][0] == "left" else t2
+            return (rnd, (name, info, table.configs[target].world))
+        return (rnd, (name, info, pair(target)))
+
     assert engine.witness() == frozenset(alive)
-    assert len(engine.alive) + len(engine.dead) == len(alive) + len(dead)
-    for pair in alive:
-        assert engine.death(pair) is None
-    for pair, entry in dead.items():
-        assert engine.death(pair) == entry
-    (t1, t2), one_way = engine.tables, conds.atomic_one_directional
+    assert {pair(p): death(p) for p in engine.dead} == dead
+    space = RefSpace(conds, left, right)
     for c1, s1 in zip(t1.configs, t1.sig):
         for c2, s2 in zip(t2.configs, t2.sig):
-            agrees = (s1 & ~s2 == 0) if one_way else (s1 == s2)
-            assert agrees == (engine.static_violation((c1, c2)) is None)
+            assert engine.static_reason(s1, s2) == space.static_violation((c1, c2))
 
 
 @pytest.mark.parametrize("n", [10, 30])
@@ -472,11 +493,10 @@ def test_worklist_checks_each_pair_a_bounded_number_of_times(n, monkeypatch):
 
     short, long = chain(n), chain(n + 1)
     engine = _Engine(conditions_for(BML), short, long, 2**20)
-    initial = initial_pair(short, "w00", long, "w00")
-    engine.run(initial)
+    start = engine.run(initial_pair(short, "w00", long, "w00"))
     pairs = n * (n + 1)
     assert len(engine.alive) + len(engine.dead) == pairs
-    assert engine.death(initial)[0] == n
+    assert engine.dead[start][0] == n
     assert calls <= 3 * pairs
 
 

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_model, models, sig_for
-from modalkit.configs import PairSpace
+from conftest import RefSpace, fixture_model, models, sig_for
 from modalkit.enumeration import equivalent_up_to
 from modalkit.equivalence import bisimilar, conditions_for
 from modalkit.errors import IllegalMoveError, StateSpaceExceededError
@@ -158,13 +157,13 @@ def test_deep_bounded_games():
 
 
 class _Reference:
-    """The game's rules on ``GameState`` objects through ``PairSpace``, as the
+    """The game's rules on ``GameState`` objects through ``RefSpace``, as the
     solvers ran them before they moved to integer positions: the oracle for
     ``Game``'s move generation, solvers and sample plays.  It has the
     ``replay`` and ``winner_at`` that ``format_transcript`` reads."""
 
     def __init__(self, spec, left, right):
-        self.space = PairSpace(conditions_for(spec), left, right)
+        self.space = RefSpace(conditions_for(spec), left, right)
 
     def visit(self, s):
         if s.turn == "spoiler":
