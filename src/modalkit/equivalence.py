@@ -28,19 +28,19 @@ world-pair space is used.
 
 The engine runs on integers.  Each model's configurations are interned in a
 ``configs.ConfigTable``, and a pair of ids is the one int
-``p = c1 * K + c2``, K bounding the right table's size.  The static check
-compares the two signature ints (``sig1 == sig2``, or ``sig1 & ~sig2 == 0``
-when atomic agreement is one-directional).  Round 1 checks every statically
-live pair; round r + 1 checks only the live predecessors of the pairs round
-r deleted, found through the tables' inverse maps, since a pair none of
-whose closure images or modal successor pairs died keeps the verdict it had.
-Every check of a round reads the live set as the round found it and the
-round's deletions are applied after its last check, so each deleted pair's
-round (the modal depth ``fixpoint_separator`` reads) and reason are exactly
-those of synchronous rounds that re-check every live pair (Kanellakis &
-Smolka, Inf. & Comp. 86(1) 1990).  The distinguisher tracer reads the
-reasons and the tables' moves by id; configurations are rebuilt only for
-the witness.
+``p = c1 * K + c2``, K bounding the right table's size.  A pair passes the
+static check when ``PairSpace.disagreement`` of its two signature ints is 0
+(``sig1 == sig2``, or ``sig1 & ~sig2 == 0`` when atomic agreement is
+one-directional).  Round 1 checks every statically live pair; round r + 1
+checks only the live predecessors of the pairs round r deleted, found
+through the tables' inverse maps, since a pair none of whose closure images
+or modal successor pairs died keeps the verdict it had.  Every check of a
+round reads the live set as the round found it and the round's deletions
+are applied after its last check, so each deleted pair's round (the modal
+depth ``fixpoint_separator`` reads) and reason are exactly those of
+synchronous rounds that re-check every live pair (Kanellakis & Smolka, Inf.
+& Comp. 86(1) 1990).  The distinguisher tracer reads the reasons and the
+tables' moves by id; configurations are rebuilt only for the witness.
 """
 
 from __future__ import annotations

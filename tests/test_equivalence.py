@@ -233,6 +233,13 @@ def test_unknown_world():
     refl, a = fixture_model("reflexive.km")
     with pytest.raises(UnknownWorldError):
         bisimilar(BML, refl, "nope", refl, a)
+    # a relation pair naming a world its model lacks is an error, not a pair
+    # that passes or fails the conditions
+    line = KripkeModel(("a", "b"), {"r": frozenset({("a", "b")})}, {})
+    for name in ("bml", "hl-at"):
+        for bad in (_pair("zz", "zz"), _pair("a", "zz"), _pair("zz", "a")):
+            with pytest.raises(UnknownWorldError):
+                verify_relation(conditions_for(DIALECTS[name]), line, line, frozenset({bad}))
 
 
 def test_pair_space_caps():
@@ -335,16 +342,6 @@ def test_verify_reports_missing_memory_closure():
         _pair("w", "v"),
         "closure condition nom i leads outside the relation",
     )
-
-
-def test_verify_rejects_unknown_worlds():
-    """A pair naming a world its model does not have is an error, not a
-    pair that passes (or fails) the conditions."""
-    line = KripkeModel(("a", "b"), {"r": frozenset({("a", "b")})}, {})
-    for name in ("bml", "hl-at"):
-        for bad in (_pair("zz", "zz"), _pair("a", "zz"), _pair("zz", "a")):
-            with pytest.raises(UnknownWorldError):
-                verify_relation(conditions_for(DIALECTS[name]), line, line, frozenset({bad}))
 
 
 @settings(max_examples=40)
