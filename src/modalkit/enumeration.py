@@ -90,6 +90,7 @@ from .syntax import (
     Prop,
     Remember,
     Top,
+    _walk,
     conjoin,
     modality,
     print_formula,
@@ -237,6 +238,9 @@ class EvalContext:
 
     def meaning(self, phi: Formula) -> int:
         """The formula's bitmask over the whole configuration table."""
+        return _walk(self._meaning, phi)
+
+    def _meaning(self, phi: Formula):
         match phi:
             case Nom(nom) | At(nom, _) if nom not in self.nom_mask or any(
                 nom not in m.noms for m in self.models
@@ -253,22 +257,22 @@ class EvalContext:
             case Known():
                 return self.known_mask
             case Not(sub):
-                return self.not_t(self.meaning(sub))
+                return self.not_t((yield sub))
             case And(a, b):
-                return self.meaning(a) & self.meaning(b)
+                return (yield a) & (yield b)
             case Or(a, b):
-                return self.meaning(a) | self.meaning(b)
+                return (yield a) | (yield b)
             case Implies(a, b):
-                return self.not_t(self.meaning(a)) | self.meaning(b)
+                return self.not_t((yield a)) | (yield b)
             case Iff(a, b):
-                return self.not_t(self.meaning(a) ^ self.meaning(b))
+                return self.not_t((yield a) ^ (yield b))
             case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
-                return self.modal_t(type(phi).__name__.lower(), rel, self.meaning(sub))
+                return self.modal_t(type(phi).__name__.lower(), rel, (yield sub))
             case Remember(sub) | Forget(sub) | Erase(sub):
                 kind = self._checked(type(phi).__name__.lower())
-                return self.pre(("close", kind, None), self.meaning(sub))
+                return self.pre(("close", kind, None), (yield sub))
             case At(nom, sub):
-                return self.pre(("close", "nom", nom), self.meaning(sub))
+                return self.pre(("close", "nom", nom), (yield sub))
         raise TypeError(f"not a formula: {phi!r}")
 
     def _checked(self, name: str) -> str:

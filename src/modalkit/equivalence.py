@@ -65,6 +65,7 @@ from .syntax import (
     Nom,
     Not,
     Prop,
+    _walk,
     conjoin,
     disjoin,
     modality,
@@ -296,13 +297,10 @@ _STATIC_ATOM = {"agree": Prop, "kagree": Known, "nagree": Nom}
 def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
     """Rebuild a distinguishing formula of a deleted pair id (true on the
     left, false on the right) from the fixpoint's deletion reasons.  Each
-    pair's ``build`` is a generator that yields the pair ids whose formulas
-    it needs; they run on an explicit stack, so a formula may nest deeper
-    than Python's recursion limit.  ``conjoin`` and ``disjoin`` print the
-    parts to sort them, so each part is printed as it is built, over printed
-    parts."""
+    pair's ``build`` yields the pair ids whose formulas it needs, each built
+    once.  ``conjoin`` and ``disjoin`` print the parts to sort them, so each
+    part is printed as it is built, over printed parts."""
     (t1, t2), K = engine.tables, engine.K
-    memo: dict[int, Formula] = {}
 
     def build(p: int):
         c1, c2 = divmod(p, K)
@@ -327,19 +325,7 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
                 return modality(spec, _CLAUSE_OPERATOR[name], rel, sub)
         raise AssertionError(f"unknown deletion reason {reason!r}")
 
-    stack, sent = [(start, build(start))], None
-    while stack:
-        top, gen = stack[-1]
-        try:
-            need = gen.send(sent)
-        except StopIteration as done:
-            sent = memo[top] = done.value
-            stack.pop()
-        else:
-            sent = memo.get(need)
-            if sent is None:
-                stack.append((need, build(need)))
-    return sent
+    return _walk(build, start, {})
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +425,7 @@ def verify_relation(
     conditions; None if it passes, otherwise (offending pair, reason).  The
     relation is interned into two fresh tables of its own and each pair is
     checked once, in ``pair_key`` order.  A pair naming a world its model
-    does not have raises ``UnknownWorldError``."""
+    lacks, current or remembered, raises ``UnknownWorldError``."""
     if not relation:
         return (None, "a simulation must be non-empty")
     space = PairSpace(conds, left, right)
@@ -447,8 +433,10 @@ def verify_relation(
 
     def ids(pair: Pair) -> tuple[int, int]:
         c1, c2 = pair
-        left.require_world(c1.world)
-        right.require_world(c2.world)
+        for w in (c1.world, *sorted(c1.mem)):
+            left.require_world(w)
+        for w in (c2.world, *sorted(c2.mem)):
+            right.require_world(w)
         return t1.intern(c1.mem, c1.world), t2.intern(c2.mem, c2.world)
 
     related = {ids(pair) for pair in relation}

@@ -15,6 +15,7 @@ from .errors import (
     UnboundVariableError,
     UnknownSymbolError,
 )
+from .syntax import _walk, _walker
 
 # ---------------------------------------------------------------------------
 # Terms and formulas
@@ -179,54 +180,66 @@ def _term_value(structure: FOStructure, env: dict, term: Term) -> str:
 
 
 def fo_check(structure: FOStructure, assignment: XAssignment, phi: FOFormula) -> bool:
-    """Tarskian truth of phi in the structure under the assignment."""
-    return _eval(structure, dict(assignment), phi)
+    """Tarskian truth of phi in the structure under the assignment.  A
+    quantifier binds its variable in one shared environment for each
+    instance and restores the outer binding after."""
+    s, env = structure, dict(assignment)
+
+    def node(phi: FOFormula):
+        match phi:
+            case Top():
+                return True
+            case Bottom():
+                return False
+            case Pred(name, arg):
+                if name not in s.unary:
+                    raise UnknownSymbolError(name)
+                return _term_value(s, env, arg) in s.unary[name]
+            case Rel(name, left, right):
+                if name not in s.binary:
+                    raise UnknownSymbolError(name)
+                return (_term_value(s, env, left), _term_value(s, env, right)) in s.binary[name]
+            case Eq(left, right):
+                return _term_value(s, env, left) == _term_value(s, env, right)
+            case Not(sub):
+                return not (yield sub)
+            case And(a, b):
+                return (yield a) and (yield b)
+            case Or(a, b):
+                return (yield a) or (yield b)
+            case Implies(a, b):
+                return (not (yield a)) or (yield b)
+            case Iff(a, b):
+                return (yield a) == (yield b)
+            case Exists(var, sub) | Forall(var, sub):
+                # a true instance settles Exists, a false one Forall
+                settle, out = type(phi) is Exists, type(phi) is Forall
+                outer = {var: env[var]} if var in env else {}
+                for d in s.domain:
+                    env[var] = d
+                    if (yield sub) == settle:
+                        out = settle
+                        break
+                del env[var]
+                env.update(outer)
+                return out
+        raise TypeError(f"not a first-order formula: {phi!r}")
+
+    return _walk(node, phi)
 
 
-def _eval(s: FOStructure, env: dict, phi: FOFormula) -> bool:
-    match phi:
-        case Top():
-            return True
-        case Bottom():
-            return False
-        case Pred(name, arg):
-            if name not in s.unary:
-                raise UnknownSymbolError(name)
-            return _term_value(s, env, arg) in s.unary[name]
-        case Rel(name, left, right):
-            if name not in s.binary:
-                raise UnknownSymbolError(name)
-            return (_term_value(s, env, left), _term_value(s, env, right)) in s.binary[name]
-        case Eq(left, right):
-            return _term_value(s, env, left) == _term_value(s, env, right)
-        case Not(sub):
-            return not _eval(s, env, sub)
-        case And(a, b):
-            return _eval(s, env, a) and _eval(s, env, b)
-        case Or(a, b):
-            return _eval(s, env, a) or _eval(s, env, b)
-        case Implies(a, b):
-            return (not _eval(s, env, a)) or _eval(s, env, b)
-        case Iff(a, b):
-            return _eval(s, env, a) == _eval(s, env, b)
-        case Exists(var, sub):
-            return any(_eval(s, {**env, var: d}, sub) for d in s.domain)
-        case Forall(var, sub):
-            return all(_eval(s, {**env, var: d}, sub) for d in s.domain)
-    raise TypeError(f"not a first-order formula: {phi!r}")
-
-
+@_walker
 def quantifier_rank(phi: FOFormula) -> int:
     """Maximum nesting depth of quantifiers."""
     match phi:
         case Top() | Bottom() | Pred() | Rel() | Eq():
             return 0
         case Not(sub):
-            return quantifier_rank(sub)
+            return (yield sub)
         case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return max(quantifier_rank(a), quantifier_rank(b))
+            return max((yield a), (yield b))
         case Exists(_, sub) | Forall(_, sub):
-            return 1 + quantifier_rank(sub)
+            return 1 + (yield sub)
     raise TypeError(f"not a first-order formula: {phi!r}")
 
 
@@ -241,6 +254,7 @@ def _term_str(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
+@_walker
 def fo_print(phi: FOFormula) -> str:
     match phi:
         case Top():
@@ -254,19 +268,11 @@ def fo_print(phi: FOFormula) -> str:
         case Eq(left, right):
             return f"(= {_term_str(left)} {_term_str(right)})"
         case Not(sub):
-            return f"(not {fo_print(sub)})"
-        case And(a, b):
-            return f"(and {fo_print(a)} {fo_print(b)})"
-        case Or(a, b):
-            return f"(or {fo_print(a)} {fo_print(b)})"
-        case Implies(a, b):
-            return f"(implies {fo_print(a)} {fo_print(b)})"
-        case Iff(a, b):
-            return f"(iff {fo_print(a)} {fo_print(b)})"
-        case Exists(var, sub):
-            return f"(exists {var} {fo_print(sub)})"
-        case Forall(var, sub):
-            return f"(forall {var} {fo_print(sub)})"
+            return f"(not {(yield sub)})"
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            return f"({type(phi).__name__.lower()} {(yield a)} {(yield b)})"
+        case Exists(var, sub) | Forall(var, sub):
+            return f"({type(phi).__name__.lower()} {var} {(yield sub)})"
     raise TypeError(f"not a first-order formula: {phi!r}")
 
 

@@ -30,7 +30,7 @@ in depth-first pop order, each pass seeing the ranks it gave earlier: when
 the position at pop index p gets rank k, a predecessor whose need is then
 met (one ranked successor for Spoiler, all for Duplicator) is queued for
 stage k if its index is above p, else for k + 1.  Bounded games are solved
-by a memoized depth-first search on an explicit stack.
+by a memoized depth-first search.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .configs import Config, PairSpace, initial_pair
 from .errors import IllegalMoveError, InvariantViolationError, StateSpaceExceededError
 from .equivalence import conditions_for
 from .kripke import KripkeModel
-from .syntax import LogicSpec
+from .syntax import LogicSpec, _walk
 
 
 @dataclass(frozen=True)
@@ -272,32 +272,20 @@ class Game:
         best: dict[tuple, tuple[int, tuple]] = {}
 
         def val(s: tuple):
-            """The memoized search at s, as a generator: it yields each
-            unsolved successor and reads its value once the driver below has
-            solved it, so deep games need no Python recursion."""
+            """The search at s: it yields each successor for its value."""
             if len(value) >= max_positions:
                 raise StateSpaceExceededError(max_positions)
             res, nxt = self._visit(s)
             if res is None:
                 turn, res = _TURN[s[2] >= 0], _TURN[s[2] < 0]
                 for k, t in enumerate(nxt):
-                    if t not in value:
-                        yield t
-                    if value[t] == turn:
+                    if (yield t) == turn:
                         res = turn
                         best[s] = (k, t)
                         break
-            value[s] = res
+            return res
 
-        start = self._position(state)
-        stack = [val(start)]
-        while stack:
-            t = next(stack[-1], None)
-            if t is None:
-                stack.pop()
-            else:
-                stack.append(val(t))
-        winner = value[start]
+        winner = _walk(val, self._position(state), value)
         strategy = {
             self._state(s): self._move(s, k, t) for s, (k, t) in best.items() if value[s] == winner
         }

@@ -33,6 +33,7 @@ from .syntax import (
     Remember,
     Signature,
     Top,
+    _walk,
     validate_formula,
 )
 
@@ -61,13 +62,12 @@ def eval_at(model: KripkeModel, mem: frozenset[str], world: str, phi: Formula) -
 
 def _evaluator(model: KripkeModel):
     """Truth in model, memoized on (subformula object, memory, world).  Each
-    node is a generator that yields the (memory, world, subformula) triples
-    it needs, in the plain recursion's order, and returns its truth; they
-    run on an explicit stack, so a formula may nest deeper than Python's
-    recursion limit, and evaluation raises where the recursion would."""
+    node yields the (memory, world, subformula) triples it needs, in the
+    plain recursion's order, and returns its truth."""
     memo: dict[tuple, bool] = {}
 
-    def node(mem: frozenset[str], world: str, phi: Formula):
+    def node(need: tuple[frozenset[str], str, Formula]):
+        mem, world, phi = need
         match phi:
             case Top():
                 return True
@@ -118,34 +118,12 @@ def _evaluator(model: KripkeModel):
                 return (yield mem, target, sub)
         raise TypeError(f"not a formula: {phi!r}")
 
-    def ev(mem: frozenset[str], world: str, phi: Formula) -> bool:
-        stack: list = []  # (memo key, node) awaiting a subformula's truth
-        need = (mem, world, phi)
-        while True:
-            key = (id(need[2]), need[0], need[1])
-            out = memo.get(key)
-            if out is None:
-                gen = node(*need)
-                try:
-                    need = next(gen)
-                except StopIteration as done:
-                    out = memo[key] = done.value
-                else:
-                    stack.append((key, gen))
-                    continue
-            while stack:
-                key, gen = stack[-1]
-                try:
-                    need = gen.send(out)
-                except StopIteration as done:
-                    out = memo[key] = done.value
-                    stack.pop()
-                else:
-                    break
-            else:
-                return out
+    return lambda mem, world, phi: _walk(node, (mem, world, phi), memo, _memo_key)
 
-    return ev
+
+def _memo_key(need: tuple[frozenset[str], str, Formula]) -> tuple:
+    mem, world, phi = need
+    return id(phi), mem, world
 
 
 def check_global(model: KripkeModel, phi: Formula, config: EvalConfig | None = None) -> bool:

@@ -19,12 +19,14 @@ tightest, then '&', '|', '->', '<->'.
 
 On any path from the whole formula down to an atom, every operator and every
 pair of parentheses is one level ('p & p & p' has two); deeper nesting than
-MAX_FORMULA_DEPTH is a ParseError, so recursive consumers stay in bounds.
+MAX_FORMULA_DEPTH is a ParseError.  The cap guards only the recursive-descent
+parser: every formula walker runs on ``_walk``'s explicit stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
 from .errors import (
     InvariantViolationError,
@@ -291,9 +293,45 @@ def modality(spec: LogicSpec, operator: str, rel: str, sub: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# The walk
+
+
+def _walk(node, root, memo=None, key=None):
+    """node(root)'s result.  node(item) is a generator that yields each item
+    whose result it needs, is sent that result, and returns its own; all run
+    on one explicit stack.  A memo keeps each result, never None, under
+    key(item) (the item if key is None); an item it holds is not walked again."""
+    stack: list = []  # (memo key, generator) awaiting a result
+    need = root
+    while True:
+        k = need if key is None else key(need)
+        sent = None if memo is None else memo.get(k)
+        if sent is None:
+            stack.append((k, node(need)))
+        while stack:
+            k, gen = stack[-1]
+            try:
+                need = gen.send(sent)
+                break
+            except StopIteration as done:
+                sent = done.value
+                stack.pop()
+                if memo is not None:
+                    memo[k] = sent
+        else:
+            return sent
+
+
+def _walker(node):
+    """node's walk as a function of a formula."""
+    return wraps(node)(lambda phi: _walk(node, phi))
+
+
+# ---------------------------------------------------------------------------
 # Depth and validation
 
 
+@_walker
 def modal_depth(phi: Formula) -> int:
     """Maximum nesting of relation-traversing modalities.
 
@@ -304,11 +342,11 @@ def modal_depth(phi: Formula) -> int:
         case Top() | Bottom() | Prop() | Nom() | Known():
             return 0
         case Not(sub) | Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
-            return modal_depth(sub)
+            return (yield sub)
         case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return max(modal_depth(a), modal_depth(b))
+            return max((yield a), (yield b))
         case Diamond(_, sub) | Box(_, sub) | DDiamond(_, sub) | DBox(_, sub):
-            return 1 + modal_depth(sub)
+            return 1 + (yield sub)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -320,52 +358,44 @@ def validate_formula(phi: Formula, sig: Signature, spec: LogicSpec) -> None:
         if not spec.allows(op):
             raise OperatorNotInDialectError(op, spec.name)
 
-    match phi:
-        case Top() | Bottom():
-            pass
-        case Prop(name):
-            if name not in sig.props:
-                raise UnknownNameError(name, "proposition")
-        case Nom(name):
-            need("nominal")
-            if name not in sig.noms:
-                raise UnknownNameError(name, "nominal")
-        case Known():
-            need("known")
-        case Not(sub):
-            if not spec.has_negation:
+    def node(phi: Formula):
+        match phi:
+            case Top() | Bottom():
+                pass
+            case Prop(name):
+                if name not in sig.props:
+                    raise UnknownNameError(name, "proposition")
+            case Nom(name):
+                need("nominal")
+                if name not in sig.noms:
+                    raise UnknownNameError(name, "nominal")
+            case Known():
+                need("known")
+            case Not() | Implies() | Iff() if not spec.has_negation:
+                # material implication smuggles in negation
                 raise OperatorNotInDialectError("negation", spec.name)
-            validate_formula(sub, sig, spec)
-        case Implies(a, b) | Iff(a, b):
-            # material implication smuggles in negation
-            if not spec.has_negation:
-                raise OperatorNotInDialectError("negation", spec.name)
-            validate_formula(a, sig, spec)
-            validate_formula(b, sig, spec)
-        case And(a, b) | Or(a, b):
-            validate_formula(a, sig, spec)
-            validate_formula(b, sig, spec)
-        case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
-            need({Diamond: "diamond", Box: "box", DDiamond: "ddiamond", DBox: "dbox"}[type(phi)])
-            if rel not in sig.rels:
-                raise UnknownNameError(rel, "relation")
-            validate_formula(sub, sig, spec)
-        case Remember(sub):
-            need("remember")
-            validate_formula(sub, sig, spec)
-        case Forget(sub):
-            need("forget")
-            validate_formula(sub, sig, spec)
-        case Erase(sub):
-            need("erase")
-            validate_formula(sub, sig, spec)
-        case At(nom, sub):
-            need("at")
-            if nom not in sig.noms:
-                raise UnknownNameError(nom, "nominal")
-            validate_formula(sub, sig, spec)
-        case _:
-            raise TypeError(f"not a formula: {phi!r}")
+            case Not(sub):
+                yield sub
+            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+                yield a
+                yield b
+            case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
+                need(type(phi).__name__.lower())
+                if rel not in sig.rels:
+                    raise UnknownNameError(rel, "relation")
+                yield sub
+            case Remember(sub) | Forget(sub) | Erase(sub):
+                need(type(phi).__name__.lower())
+                yield sub
+            case At(nom, sub):
+                need("at")
+                if nom not in sig.noms:
+                    raise UnknownNameError(nom, "nominal")
+                yield sub
+            case _:
+                raise TypeError(f"not a formula: {phi!r}")
+
+    _walk(node, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -545,69 +575,74 @@ _PREC = {Iff: 0, Implies: 1, Or: 2, And: 3}
 
 def print_formula(phi: Formula) -> str:
     """Render with minimal parentheses; parse_formula round-trips the result."""
-    return _render(phi, 0)
+    return _kept(phi, 0) or _walk(_render, (phi, 0))
 
 
-def _render(phi: Formula, ctx: int) -> str:
-    """phi's text in a context of precedence ctx.  A node keeps its text,
-    without outer parentheses, in its instance ``__dict__`` (not a field, so
-    ``==``, hash and repr ignore it): over printed parts it costs one step."""
+def _kept(phi: Formula, ctx: int) -> str | None:
+    """phi's text in a context of precedence ctx once printed: a node keeps it
+    in its ``__dict__``, not a field, so ``==``, hash and repr ignore it."""
     text = phi.__dict__.get("_text")
-    if text is None:
-        match phi:
-            case Top():
-                text = "true"
-            case Bottom():
-                text = "false"
-            case Known():
-                text = "known"
-            case Prop(name):
-                text = name
-            case Nom(name):
-                text = f"'{name}"
-            case Not(sub):
-                text = f"~{_render(sub, 4)}"
-            case Diamond(rel, sub):
-                text = f"<{rel}>{_render(sub, 4)}"
-            case Box(rel, sub):
-                text = f"[{rel}]{_render(sub, 4)}"
-            case DDiamond(rel, sub):
-                text = f"<<{rel}>>{_render(sub, 4)}"
-            case DBox(rel, sub):
-                text = f"[[{rel}]]{_render(sub, 4)}"
-            case At(nom, sub):
-                text = f"@{nom} {_render(sub, 4)}"
-            case Remember(sub):
-                text = f"rem {_render(sub, 4)}"
-            case Forget(sub):
-                text = f"forg {_render(sub, 4)}"
-            case Erase(sub):
-                text = f"erase {_render(sub, 4)}"
-            case And(a, b):
-                text = f"{_render(a, 3)} & {_render(b, 4)}"
-            case Or(a, b):
-                text = f"{_render(a, 2)} | {_render(b, 3)}"
-            case Implies(a, b):
-                text = f"{_render(a, 2)} -> {_render(b, 1)}"
-            case Iff(a, b):
-                text = f"{_render(a, 1)} <-> {_render(b, 0)}"
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
-        phi.__dict__["_text"] = text
-    return f"({text})" if ctx > _PREC.get(type(phi), 4) else text
+    return f"({text})" if text and ctx > _PREC.get(type(phi), 4) else text
 
 
+def _render(need: tuple[Formula, int]):
+    """Print phi for a context of precedence ctx, walking unprinted parts."""
+    phi, ctx = need
+    match phi:
+        case Top():
+            text = "true"
+        case Bottom():
+            text = "false"
+        case Known():
+            text = "known"
+        case Prop(name):
+            text = name
+        case Nom(name):
+            text = f"'{name}"
+        case Not(sub):
+            text = f"~{_kept(sub, 4) or (yield sub, 4)}"
+        case Diamond(rel, sub):
+            text = f"<{rel}>{_kept(sub, 4) or (yield sub, 4)}"
+        case Box(rel, sub):
+            text = f"[{rel}]{_kept(sub, 4) or (yield sub, 4)}"
+        case DDiamond(rel, sub):
+            text = f"<<{rel}>>{_kept(sub, 4) or (yield sub, 4)}"
+        case DBox(rel, sub):
+            text = f"[[{rel}]]{_kept(sub, 4) or (yield sub, 4)}"
+        case At(nom, sub):
+            text = f"@{nom} {_kept(sub, 4) or (yield sub, 4)}"
+        case Remember(sub):
+            text = f"rem {_kept(sub, 4) or (yield sub, 4)}"
+        case Forget(sub):
+            text = f"forg {_kept(sub, 4) or (yield sub, 4)}"
+        case Erase(sub):
+            text = f"erase {_kept(sub, 4) or (yield sub, 4)}"
+        case And(a, b):
+            text = f"{_kept(a, 3) or (yield a, 3)} & {_kept(b, 4) or (yield b, 4)}"
+        case Or(a, b):
+            text = f"{_kept(a, 2) or (yield a, 2)} | {_kept(b, 3) or (yield b, 3)}"
+        case Implies(a, b):
+            text = f"{_kept(a, 2) or (yield a, 2)} -> {_kept(b, 1) or (yield b, 1)}"
+        case Iff(a, b):
+            text = f"{_kept(a, 1) or (yield a, 1)} <-> {_kept(b, 0) or (yield b, 0)}"
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
+    phi.__dict__["_text"] = text
+    return _kept(phi, ctx)
+
+
+@_walker
 def formula_size(phi: Formula) -> int:
     """Node count of the syntax tree."""
     match phi:
         case Top() | Bottom() | Prop(_) | Nom(_) | Known():
             return 1
         case Not(sub) | Diamond(_, sub) | Box(_, sub) | DDiamond(_, sub) | DBox(_, sub):
-            return 1 + formula_size(sub)
+            return 1 + (yield sub)
         case Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
-            return 1 + formula_size(sub)
+            return 1 + (yield sub)
         case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return 1 + formula_size(a) + formula_size(b)
+            return 1 + (yield a) + (yield b)
     raise TypeError(f"not a formula: {phi!r}")
 
 

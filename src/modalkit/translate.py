@@ -47,12 +47,14 @@ from .syntax import (
     Remember,
     Signature,
     Top,
+    _walk,
 )
 
 # The unary predicate reserved for the memory set.
 MEMORY_PRED = "K"
 
-# Trail entries: ("add", term), ("del", term), ("barrier",).
+# Trail entries: ("add", term), ("del", term), ("barrier",).  A trail is ()
+# or (its latest entry, the trail before it), so a push copies nothing.
 _Trail = tuple
 
 
@@ -64,17 +66,20 @@ def translate_formula(phi: Formula) -> fo.FOFormula:
         return f"y{next(counter)}"
 
     def known_at(term: fo.Term, trail: _Trail) -> fo.FOFormula:
-        for i in range(len(trail) - 1, -1, -1):
-            entry = trail[i]
-            if entry[0] == "barrier":
-                return fo.Bottom()
-            rest = known_at(term, trail[:i])
-            if entry[0] == "add":
-                return fo.Or(fo.Eq(term, entry[1]), rest)
-            return fo.And(fo.Not(fo.Eq(term, entry[1])), rest)
-        return fo.Pred(MEMORY_PRED, term)
+        entries = []  # latest first, up to the latest barrier
+        while trail and trail[0][0] != "barrier":
+            (tag, tagged), trail = trail
+            entries.append((tag, tagged))
+        out = fo.Bottom() if trail else fo.Pred(MEMORY_PRED, term)
+        for tag, tagged in reversed(entries):
+            if tag == "add":
+                out = fo.Or(fo.Eq(term, tagged), out)
+            else:
+                out = fo.And(fo.Not(fo.Eq(term, tagged)), out)
+        return out
 
-    def go(phi: Formula, term: fo.Term, trail: _Trail) -> fo.FOFormula:
+    def go(need: tuple[Formula, fo.Term, _Trail]):
+        phi, term, trail = need
         match phi:
             case Top():
                 return fo.Top()
@@ -87,40 +92,35 @@ def translate_formula(phi: Formula) -> fo.FOFormula:
             case Known():
                 return known_at(term, trail)
             case Not(sub):
-                return fo.Not(go(sub, term, trail))
+                return fo.Not((yield sub, term, trail))
             case And(a, b):
-                return fo.And(go(a, term, trail), go(b, term, trail))
+                return fo.And((yield a, term, trail), (yield b, term, trail))
             case Or(a, b):
-                return fo.Or(go(a, term, trail), go(b, term, trail))
+                return fo.Or((yield a, term, trail), (yield b, term, trail))
             case Implies(a, b):
-                return fo.Implies(go(a, term, trail), go(b, term, trail))
+                return fo.Implies((yield a, term, trail), (yield b, term, trail))
             case Iff(a, b):
-                return fo.Iff(go(a, term, trail), go(b, term, trail))
-            case Diamond(rel, sub):
+                return fo.Iff((yield a, term, trail), (yield b, term, trail))
+            case Diamond(rel, sub) | DDiamond(rel, sub):
                 y = fresh()
-                return fo.Exists(y, fo.And(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), trail)))
-            case Box(rel, sub):
+                inner = (("add", term), trail) if type(phi) is DDiamond else trail
+                return fo.Exists(y, fo.And(fo.Rel(rel, term, fo.Var(y)), (yield sub, fo.Var(y), inner)))
+            case Box(rel, sub) | DBox(rel, sub):
                 y = fresh()
-                return fo.Forall(y, fo.Implies(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), trail)))
-            case DDiamond(rel, sub):
-                y = fresh()
-                pushed = trail + (("add", term),)
-                return fo.Exists(y, fo.And(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), pushed)))
-            case DBox(rel, sub):
-                y = fresh()
-                pushed = trail + (("add", term),)
-                return fo.Forall(y, fo.Implies(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), pushed)))
+                inner = (("add", term), trail) if type(phi) is DBox else trail
+                return fo.Forall(y, fo.Implies(fo.Rel(rel, term, fo.Var(y)), (yield sub, fo.Var(y), inner)))
             case Remember(sub):
-                return go(sub, term, trail + (("add", term),))
+                return (yield sub, term, (("add", term), trail))
             case Forget(sub):
-                return go(sub, term, trail + (("del", term),))
+                return (yield sub, term, (("del", term), trail))
             case Erase(sub):
-                return go(sub, term, trail + (("barrier",),))
+                return (yield sub, term, (("barrier",), trail))
             case At(nom, sub):
-                return go(sub, fo.Const(nom), trail)
+                return (yield sub, fo.Const(nom), trail)
         raise TypeError(f"not a formula: {phi!r}")
 
-    return go(phi, fo.Var("x"), ())
+    # no memo: a shared subformula gets fresh variables at each occurrence
+    return _walk(go, (phi, fo.Var("x"), ()))
 
 
 def translate_model(

@@ -8,14 +8,23 @@ path and keep shrinking fast.
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
+from itertools import count
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from modalkit import fo
 from modalkit.configs import Config, Pair, PairSpace, close, step_memory
+from modalkit.errors import (
+    OperatorNotInDialectError,
+    UnassignedNominalError,
+    UnknownNameError,
+    UnknownSymbolError,
+)
 from modalkit.kripke import KripkeModel, PointedModel
 from modalkit.kripke import load_model as _load_model
 from modalkit.syntax import (
@@ -42,6 +51,7 @@ from modalkit.syntax import (
     Signature,
     Top,
 )
+from modalkit.translate import MEMORY_PRED
 
 settings.register_profile(
     "workbench",
@@ -89,6 +99,16 @@ NESTED = {
 def spec(request) -> LogicSpec:
     """Parametrizes a test over every named dialect."""
     return DIALECTS[request.param]
+
+
+@pytest.fixture
+def low_recursion_limit():
+    """Runs one test under a recursion limit of 100, far below any formula
+    depth it builds, and restores the old limit after."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +257,285 @@ def reference_fold(parts, cls, empty: Formula) -> Formula:
     sorted and deduplicated by their reference texts."""
     uniq = sorted({reference_print(p): p for p in parts}.items())
     return reduce(cls, (p for _, p in uniq)) if uniq else empty
+
+
+# ---------------------------------------------------------------------------
+# Reference walkers
+
+# The formula walkers as plain recursions, as they were before they moved
+# onto syntax._walk: kept verbatim but for their names (and the fo. prefix on
+# first-order names, which share their names with the modal nodes) as the
+# references for the walkers of the same name.  EvalContext.meaning is a
+# function of the context, passed as self.
+
+
+def reference_modal_depth(phi: Formula) -> int:
+    """Maximum nesting of relation-traversing modalities.
+
+    Remember/Forget/Erase/At and the boolean connectives contribute 0;
+    Diamond/Box/DDiamond/DBox contribute 1.
+    """
+    match phi:
+        case Top() | Bottom() | Prop() | Nom() | Known():
+            return 0
+        case Not(sub) | Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
+            return reference_modal_depth(sub)
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            return max(reference_modal_depth(a), reference_modal_depth(b))
+        case Diamond(_, sub) | Box(_, sub) | DDiamond(_, sub) | DBox(_, sub):
+            return 1 + reference_modal_depth(sub)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def reference_formula_size(phi: Formula) -> int:
+    """Node count of the syntax tree."""
+    match phi:
+        case Top() | Bottom() | Prop(_) | Nom(_) | Known():
+            return 1
+        case Not(sub) | Diamond(_, sub) | Box(_, sub) | DDiamond(_, sub) | DBox(_, sub):
+            return 1 + reference_formula_size(sub)
+        case Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
+            return 1 + reference_formula_size(sub)
+        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+            return 1 + reference_formula_size(a) + reference_formula_size(b)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def reference_validate_formula(phi: Formula, sig: Signature, spec: LogicSpec) -> None:
+    """Raise UnknownNameError/OperatorNotInDialectError if phi is not a
+    well-formed formula of the dialect over the signature."""
+
+    def need(op: str) -> None:
+        if not spec.allows(op):
+            raise OperatorNotInDialectError(op, spec.name)
+
+    match phi:
+        case Top() | Bottom():
+            pass
+        case Prop(name):
+            if name not in sig.props:
+                raise UnknownNameError(name, "proposition")
+        case Nom(name):
+            need("nominal")
+            if name not in sig.noms:
+                raise UnknownNameError(name, "nominal")
+        case Known():
+            need("known")
+        case Not(sub):
+            if not spec.has_negation:
+                raise OperatorNotInDialectError("negation", spec.name)
+            reference_validate_formula(sub, sig, spec)
+        case Implies(a, b) | Iff(a, b):
+            # material implication smuggles in negation
+            if not spec.has_negation:
+                raise OperatorNotInDialectError("negation", spec.name)
+            reference_validate_formula(a, sig, spec)
+            reference_validate_formula(b, sig, spec)
+        case And(a, b) | Or(a, b):
+            reference_validate_formula(a, sig, spec)
+            reference_validate_formula(b, sig, spec)
+        case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
+            need({Diamond: "diamond", Box: "box", DDiamond: "ddiamond", DBox: "dbox"}[type(phi)])
+            if rel not in sig.rels:
+                raise UnknownNameError(rel, "relation")
+            reference_validate_formula(sub, sig, spec)
+        case Remember(sub):
+            need("remember")
+            reference_validate_formula(sub, sig, spec)
+        case Forget(sub):
+            need("forget")
+            reference_validate_formula(sub, sig, spec)
+        case Erase(sub):
+            need("erase")
+            reference_validate_formula(sub, sig, spec)
+        case At(nom, sub):
+            need("at")
+            if nom not in sig.noms:
+                raise UnknownNameError(nom, "nominal")
+            reference_validate_formula(sub, sig, spec)
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
+
+
+def reference_translate_formula(phi: Formula) -> fo.FOFormula:
+    """The first-order equivalent of phi, in one free variable x."""
+    counter = count()
+
+    def fresh() -> str:
+        return f"y{next(counter)}"
+
+    def known_at(term: fo.Term, trail: tuple) -> fo.FOFormula:
+        for i in range(len(trail) - 1, -1, -1):
+            entry = trail[i]
+            if entry[0] == "barrier":
+                return fo.Bottom()
+            rest = known_at(term, trail[:i])
+            if entry[0] == "add":
+                return fo.Or(fo.Eq(term, entry[1]), rest)
+            return fo.And(fo.Not(fo.Eq(term, entry[1])), rest)
+        return fo.Pred(MEMORY_PRED, term)
+
+    def go(phi: Formula, term: fo.Term, trail: tuple) -> fo.FOFormula:
+        match phi:
+            case Top():
+                return fo.Top()
+            case Bottom():
+                return fo.Bottom()
+            case Prop(name):
+                return fo.Pred(name, term)
+            case Nom(name):
+                return fo.Eq(term, fo.Const(name))
+            case Known():
+                return known_at(term, trail)
+            case Not(sub):
+                return fo.Not(go(sub, term, trail))
+            case And(a, b):
+                return fo.And(go(a, term, trail), go(b, term, trail))
+            case Or(a, b):
+                return fo.Or(go(a, term, trail), go(b, term, trail))
+            case Implies(a, b):
+                return fo.Implies(go(a, term, trail), go(b, term, trail))
+            case Iff(a, b):
+                return fo.Iff(go(a, term, trail), go(b, term, trail))
+            case Diamond(rel, sub):
+                y = fresh()
+                return fo.Exists(y, fo.And(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), trail)))
+            case Box(rel, sub):
+                y = fresh()
+                return fo.Forall(y, fo.Implies(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), trail)))
+            case DDiamond(rel, sub):
+                y = fresh()
+                pushed = trail + (("add", term),)
+                return fo.Exists(y, fo.And(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), pushed)))
+            case DBox(rel, sub):
+                y = fresh()
+                pushed = trail + (("add", term),)
+                return fo.Forall(y, fo.Implies(fo.Rel(rel, term, fo.Var(y)), go(sub, fo.Var(y), pushed)))
+            case Remember(sub):
+                return go(sub, term, trail + (("add", term),))
+            case Forget(sub):
+                return go(sub, term, trail + (("del", term),))
+            case Erase(sub):
+                return go(sub, term, trail + (("barrier",),))
+            case At(nom, sub):
+                return go(sub, fo.Const(nom), trail)
+        raise TypeError(f"not a formula: {phi!r}")
+
+    return go(phi, fo.Var("x"), ())
+
+
+def reference_eval(s: fo.FOStructure, env: dict, phi: fo.FOFormula) -> bool:
+    match phi:
+        case fo.Top():
+            return True
+        case fo.Bottom():
+            return False
+        case fo.Pred(name, arg):
+            if name not in s.unary:
+                raise UnknownSymbolError(name)
+            return fo._term_value(s, env, arg) in s.unary[name]
+        case fo.Rel(name, left, right):
+            if name not in s.binary:
+                raise UnknownSymbolError(name)
+            return (fo._term_value(s, env, left), fo._term_value(s, env, right)) in s.binary[name]
+        case fo.Eq(left, right):
+            return fo._term_value(s, env, left) == fo._term_value(s, env, right)
+        case fo.Not(sub):
+            return not reference_eval(s, env, sub)
+        case fo.And(a, b):
+            return reference_eval(s, env, a) and reference_eval(s, env, b)
+        case fo.Or(a, b):
+            return reference_eval(s, env, a) or reference_eval(s, env, b)
+        case fo.Implies(a, b):
+            return (not reference_eval(s, env, a)) or reference_eval(s, env, b)
+        case fo.Iff(a, b):
+            return reference_eval(s, env, a) == reference_eval(s, env, b)
+        case fo.Exists(var, sub):
+            return any(reference_eval(s, {**env, var: d}, sub) for d in s.domain)
+        case fo.Forall(var, sub):
+            return all(reference_eval(s, {**env, var: d}, sub) for d in s.domain)
+    raise TypeError(f"not a first-order formula: {phi!r}")
+
+
+def reference_quantifier_rank(phi: fo.FOFormula) -> int:
+    """Maximum nesting depth of quantifiers."""
+    match phi:
+        case fo.Top() | fo.Bottom() | fo.Pred() | fo.Rel() | fo.Eq():
+            return 0
+        case fo.Not(sub):
+            return reference_quantifier_rank(sub)
+        case fo.And(a, b) | fo.Or(a, b) | fo.Implies(a, b) | fo.Iff(a, b):
+            return max(reference_quantifier_rank(a), reference_quantifier_rank(b))
+        case fo.Exists(_, sub) | fo.Forall(_, sub):
+            return 1 + reference_quantifier_rank(sub)
+    raise TypeError(f"not a first-order formula: {phi!r}")
+
+
+def reference_fo_print(phi: fo.FOFormula) -> str:
+    match phi:
+        case fo.Top():
+            return "true"
+        case fo.Bottom():
+            return "false"
+        case fo.Pred(name, arg):
+            return f"({name} {fo._term_str(arg)})"
+        case fo.Rel(name, left, right):
+            return f"({name} {fo._term_str(left)} {fo._term_str(right)})"
+        case fo.Eq(left, right):
+            return f"(= {fo._term_str(left)} {fo._term_str(right)})"
+        case fo.Not(sub):
+            return f"(not {reference_fo_print(sub)})"
+        case fo.And(a, b):
+            return f"(and {reference_fo_print(a)} {reference_fo_print(b)})"
+        case fo.Or(a, b):
+            return f"(or {reference_fo_print(a)} {reference_fo_print(b)})"
+        case fo.Implies(a, b):
+            return f"(implies {reference_fo_print(a)} {reference_fo_print(b)})"
+        case fo.Iff(a, b):
+            return f"(iff {reference_fo_print(a)} {reference_fo_print(b)})"
+        case fo.Exists(var, sub):
+            return f"(exists {var} {reference_fo_print(sub)})"
+        case fo.Forall(var, sub):
+            return f"(forall {var} {reference_fo_print(sub)})"
+    raise TypeError(f"not a first-order formula: {phi!r}")
+
+
+def reference_meaning(self, phi: Formula) -> int:
+    """The formula's bitmask over the whole configuration table."""
+    match phi:
+        case Nom(nom) | At(nom, _) if nom not in self.nom_mask or any(
+            nom not in m.noms for m in self.models
+        ):
+            raise UnassignedNominalError(nom)
+        case Top():
+            return self.full
+        case Bottom():
+            return 0
+        case Prop(name):
+            return self.prop_mask.get(name, 0)
+        case Nom(name):
+            return self.nom_mask[name]
+        case Known():
+            return self.known_mask
+        case Not(sub):
+            return self.not_t(reference_meaning(self, sub))
+        case And(a, b):
+            return reference_meaning(self, a) & reference_meaning(self, b)
+        case Or(a, b):
+            return reference_meaning(self, a) | reference_meaning(self, b)
+        case Implies(a, b):
+            return self.not_t(reference_meaning(self, a)) | reference_meaning(self, b)
+        case Iff(a, b):
+            return self.not_t(reference_meaning(self, a) ^ reference_meaning(self, b))
+        case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
+            return self.modal_t(type(phi).__name__.lower(), rel, reference_meaning(self, sub))
+        case Remember(sub) | Forget(sub) | Erase(sub):
+            kind = self._checked(type(phi).__name__.lower())
+            return self.pre(("close", kind, None), reference_meaning(self, sub))
+        case At(nom, sub):
+            return self.pre(("close", "nom", nom), reference_meaning(self, sub))
+    raise TypeError(f"not a formula: {phi!r}")
+
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ formulas.  verify_relation doubles as the oracle for engine output: whatever
 the fixpoint returns as a witness must pass the defining conditions verbatim.
 """
 
-import sys
 import time
 
 import pytest
@@ -135,19 +134,13 @@ def test_fork_not_bisimilar_with_distinguisher():
     assert not check(two, w0, out.distinguisher)
 
 
-def test_deep_distinguisher_is_built_without_recursion():
+def test_deep_distinguisher_is_built_without_recursion(low_recursion_limit):
     """600 nested modalities: deeper than a recursive build can go.  Its
     parts keep the texts printed while it was built, so printing it needs
     no frame per level either, even under a recursion limit of 100."""
     outcome = bisimilar(BML, chain_model(600, "a"), "a0", chain_model(601, "b"), "b0")
     assert not outcome.related
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(100)
-    try:
-        text = print_formula(outcome.distinguisher)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert text == "<r>" * 599 + "[r]false"
+    assert print_formula(outcome.distinguisher) == "<r>" * 599 + "[r]false"
 
 
 def test_distinguisher_renders_each_part_once(monkeypatch):
@@ -159,7 +152,7 @@ def test_distinguisher_renders_each_part_once(monkeypatch):
 
     calls = []
     render = syntax._render
-    monkeypatch.setattr(syntax, "_render", lambda phi, ctx: calls.append(1) or render(phi, ctx))
+    monkeypatch.setattr(syntax, "_render", lambda need: calls.append(1) or render(need))
     outcome = bisimilar(BML, chain_model(200, "a"), "a0", chain_model(201, "b"), "b0")
     assert len(calls) <= 5 * 200
     monkeypatch.undo()
@@ -240,6 +233,10 @@ def test_unknown_world():
         for bad in (_pair("zz", "zz"), _pair("a", "zz"), _pair("zz", "a")):
             with pytest.raises(UnknownWorldError):
                 verify_relation(conditions_for(DIALECTS[name]), line, line, frozenset({bad}))
+    # so is one that names it in a memory, though its own worlds are known
+    remembered = {_pair("b", "b", {"zz"}, {"zz"}), _pair("b", "b", {"b", "zz"}, {"b", "zz"})}
+    with pytest.raises(UnknownWorldError, match="zz"):
+        verify_relation(conditions_for(ML), line, line, frozenset(remembered))
 
 
 def test_pair_space_caps():

@@ -94,6 +94,12 @@ def test_quantifier_shadowing():
     # the inner binding wins
     phi = Exists("x", And(Pred("P", Var("x")), Exists("x", Not(Pred("P", Var("x"))))))
     assert fo_check(S, {}, phi)
+    # and holds only in its scope: the outer binding, or none, holds after it
+    p_x, p_y = Pred("P", Var("x")), Pred("P", Var("y"))
+    assert fo_check(S, {"x": "a"}, And(Exists("x", Not(p_x)), p_x))
+    assert not fo_check(S, {"x": "b"}, And(Exists("x", Not(p_x)), p_x))
+    with pytest.raises(UnboundVariableError):
+        fo_check(S, {}, And(Exists("y", p_y), p_y))
 
 
 def test_evaluation_errors():
