@@ -31,6 +31,7 @@ from .games import Game, format_transcript
 from .kripke import GenParams, KripkeModel, load_model_file, random_model, save_model
 from .semantics import EvalConfig, check
 from .syntax import (
+    _BRACKETS,
     DIALECTS,
     RESERVED_WORDS,
     Signature,
@@ -59,7 +60,7 @@ def _infer_signature(text: str, models: list[KripkeModel]) -> Signature:
         if tok.kind != "ident" or tok.text in RESERVED_WORDS:
             continue
         after = prev.text if prev is not None and prev.kind == "sym" else None
-        if after in ("<", "<<", "[", "[["):
+        if after in _BRACKETS:
             rels.add(tok.text)
         elif after in ("'", "@"):
             noms.add(tok.text)

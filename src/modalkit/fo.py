@@ -15,7 +15,7 @@ from .errors import (
     UnboundVariableError,
     UnknownSymbolError,
 )
-from .syntax import _walk, _walker
+from .syntax import _Node, _parts, _walk, _walker
 
 # ---------------------------------------------------------------------------
 # Terms and formulas
@@ -37,7 +37,7 @@ class Const(Term):
 
 
 @dataclass(frozen=True)
-class FOFormula:
+class FOFormula(_Node):
     def __str__(self) -> str:
         return fo_print(self)
 
@@ -231,16 +231,10 @@ def fo_check(structure: FOStructure, assignment: XAssignment, phi: FOFormula) ->
 @_walker
 def quantifier_rank(phi: FOFormula) -> int:
     """Maximum nesting depth of quantifiers."""
-    match phi:
-        case Top() | Bottom() | Pred() | Rel() | Eq():
-            return 0
-        case Not(sub):
-            return (yield sub)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return max((yield a), (yield b))
-        case Exists(_, sub) | Forall(_, sub):
-            return 1 + (yield sub)
-    raise TypeError(f"not a first-order formula: {phi!r}")
+    rank = 0
+    for part in _parts(phi):
+        rank = max(rank, (yield part))
+    return rank + (type(phi) in (Exists, Forall))
 
 
 # ---------------------------------------------------------------------------

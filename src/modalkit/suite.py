@@ -8,7 +8,7 @@ bounded depth, a fixed number of cases per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import semantics
 from .analysis import minimize_map
@@ -19,13 +19,10 @@ from .games import solve_game
 from .kripke import GenParams, KripkeModel, SplitMix64, random_model
 from .syntax import (
     DIALECTS,
+    MODALITIES,
     And,
     At,
     Bottom,
-    Box,
-    DBox,
-    DDiamond,
-    Diamond,
     Erase,
     Forget,
     Formula,
@@ -64,71 +61,39 @@ def _sig_for(spec: LogicSpec) -> Signature:
 
 def random_formula(spec: LogicSpec, sig: Signature, rng: SplitMix64, depth: int) -> Formula:
     """A uniform-ish random formula of the dialect with syntax-tree depth at
-    most ``depth``, driven entirely by the given generator."""
-    leaves = ["top", "bottom"]
+    most ``depth``, driven entirely by the given generator: it draws a node
+    class, then fills the class's fields in order, each name field with a
+    draw from its pool and each subformula field with a formula one level
+    shallower."""
+    options = [Top, Bottom]
     if sig.props:
-        leaves.extend(["prop", "prop"])
+        options += [Prop, Prop]
     if spec.allows("known"):
-        leaves.append("known")
+        options.append(Known)
     if spec.allows("nominal") and sig.noms:
-        leaves.append("nominal")
-    options = list(leaves)
+        options.append(Nom)
     if depth > 0:
-        options.extend(["and", "and", "or", "or"])
+        options += [And, And, Or, Or]
         if spec.has_negation:
-            options.extend(["not", "not", "implies", "iff"])
-        for op in ("diamond", "box", "ddiamond", "dbox"):
+            options += [Not, Not, Implies, Iff]
+        for op, cls in MODALITIES.items():
             if spec.allows(op) and sig.rels:
-                options.extend([op, op])
-        for op in ("remember", "forget", "erase"):
-            if spec.allows(op):
-                options.append(op)
+                options += [cls, cls]
+        for cls in (Remember, Forget, Erase):
+            if spec.allows(cls.__name__.lower()):
+                options.append(cls)
         if spec.allows("at") and sig.noms:
-            options.append("at")
-    pick = options[rng.next_below(len(options))]
-    sub = depth - 1
-    match pick:
-        case "top":
-            return Top()
-        case "bottom":
-            return Bottom()
-        case "prop":
-            return Prop(sig.props[rng.next_below(len(sig.props))])
-        case "known":
-            return Known()
-        case "nominal":
-            return Nom(sig.noms[rng.next_below(len(sig.noms))])
-        case "not":
-            return Not(random_formula(spec, sig, rng, sub))
-        case "and":
-            return And(random_formula(spec, sig, rng, sub), random_formula(spec, sig, rng, sub))
-        case "or":
-            return Or(random_formula(spec, sig, rng, sub), random_formula(spec, sig, rng, sub))
-        case "implies":
-            return Implies(
-                random_formula(spec, sig, rng, sub), random_formula(spec, sig, rng, sub)
-            )
-        case "iff":
-            return Iff(random_formula(spec, sig, rng, sub), random_formula(spec, sig, rng, sub))
-        case "diamond":
-            return Diamond(sig.rels[rng.next_below(len(sig.rels))], random_formula(spec, sig, rng, sub))
-        case "box":
-            return Box(sig.rels[rng.next_below(len(sig.rels))], random_formula(spec, sig, rng, sub))
-        case "ddiamond":
-            return DDiamond(
-                sig.rels[rng.next_below(len(sig.rels))], random_formula(spec, sig, rng, sub)
-            )
-        case "dbox":
-            return DBox(sig.rels[rng.next_below(len(sig.rels))], random_formula(spec, sig, rng, sub))
-        case "remember":
-            return Remember(random_formula(spec, sig, rng, sub))
-        case "forget":
-            return Forget(random_formula(spec, sig, rng, sub))
-        case "erase":
-            return Erase(random_formula(spec, sig, rng, sub))
-        case "at":
-            return At(sig.noms[rng.next_below(len(sig.noms))], random_formula(spec, sig, rng, sub))
-    raise AssertionError(pick)
+            options.append(At)
+    cls = options[rng.next_below(len(options))]
+    pools = {"rel": sig.rels, "nom": sig.noms, "name": sig.props if cls is Prop else sig.noms}
+    args = []
+    for f in fields(cls):
+        pool = pools.get(f.name)
+        if pool is None:
+            args.append(random_formula(spec, sig, rng, depth - 1))
+        else:
+            args.append(pool[rng.next_below(len(pool))])
+    return cls(*args)
 
 
 def _random_case_model(spec: LogicSpec, rng: SplitMix64, max_worlds: int) -> KripkeModel:

@@ -2,11 +2,7 @@
 
 The surface grammar (ASCII) is:
 
-    formula  := iff
-    iff      := impl ('<->' iff)?                  # right-associative
-    impl     := or ('->' impl)?                    # right-associative
-    or       := and ('|' and)*
-    and      := unary ('&' unary)*
+    formula  := unary (INFIX unary)*                # by precedence, see below
     unary    := '~' unary | '<'IDENT'>' unary | '['IDENT']' unary
               | '<<'IDENT'>>' unary | '[['IDENT']]' unary
               | '@'IDENT unary | 'rem' unary | 'forg' unary | 'erase' unary
@@ -15,7 +11,15 @@ The surface grammar (ASCII) is:
 
 IDENT is [a-zA-Z][a-zA-Z0-9_]*; a bare IDENT is a proposition, 'IDENT is a
 nominal.  '#' starts a comment that runs to end of line.  Unary operators bind
-tightest, then '&', '|', '->', '<->'.
+tightest, then '&', '|', '->', '<->'; '&' and '|' group to the left, '->' and
+'<->' to the right.
+
+Four tables state the concrete syntax: ``_BRACKETS`` (the modal brackets),
+``_MEMORY_PREFIXES`` (the memory words), ``_CONSTANTS`` (the constant words)
+and ``_INFIX`` (each binary connective's token, precedence and grouping).
+The parser reads them, the printer's ``_PREFIX`` and ``_ATOMS`` and
+``RESERVED_WORDS`` are built from them, and the command line's signature
+inference reads ``_BRACKETS``.
 
 On any path from the whole formula down to an atom, every operator and every
 pair of parentheses is one level ('p & p & p' has two); deeper nesting than
@@ -55,8 +59,6 @@ OPERATORS = frozenset(
 # Operators whose presence makes a dialect a memory logic; every memory logic
 # must provide at least remember and known.
 MEMORY_OPERATORS = frozenset({"known", "remember", "forget", "erase", "ddiamond", "dbox"})
-
-RESERVED_WORDS = frozenset({"true", "false", "rem", "forg", "erase", "known"})
 
 MAX_FORMULA_DEPTH = 100
 
@@ -171,8 +173,12 @@ def get_dialect(name: str) -> LogicSpec:
 # AST
 
 
+class _Node:
+    """Base of the modal and first-order formula nodes."""
+
+
 @dataclass(frozen=True)
-class Formula:
+class Formula(_Node):
     """Base class for formula nodes."""
 
     def __str__(self) -> str:
@@ -327,6 +333,13 @@ def _walker(node):
     return wraps(node)(lambda phi: _walk(node, phi))
 
 
+def _parts(phi) -> list:
+    """phi's subformulas, in field order."""
+    if not isinstance(phi, _Node):
+        raise TypeError(f"not a formula: {phi!r}")
+    return [v for v in map(phi.__getattribute__, phi.__match_args__) if isinstance(v, _Node)]
+
+
 # ---------------------------------------------------------------------------
 # Depth and validation
 
@@ -338,16 +351,10 @@ def modal_depth(phi: Formula) -> int:
     Remember/Forget/Erase/At and the boolean connectives contribute 0;
     Diamond/Box/DDiamond/DBox contribute 1.
     """
-    match phi:
-        case Top() | Bottom() | Prop() | Nom() | Known():
-            return 0
-        case Not(sub) | Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
-            return (yield sub)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return max((yield a), (yield b))
-        case Diamond(_, sub) | Box(_, sub) | DDiamond(_, sub) | DBox(_, sub):
-            return 1 + (yield sub)
-    raise TypeError(f"not a formula: {phi!r}")
+    depth = 0
+    for part in _parts(phi):
+        depth = max(depth, (yield part))
+    return depth + (type(phi) in MODALITIES.values())
 
 
 def validate_formula(phi: Formula, sig: Signature, spec: LogicSpec) -> None:
@@ -441,10 +448,26 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# opening modal bracket -> (closing bracket, node)
+# The concrete syntax.  opening modal bracket -> (closing bracket, node)
 _BRACKETS = {"<": (">", Diamond), "[": ("]", Box), "<<": (">>", DDiamond), "[[": ("]]", DBox)}
 _MEMORY_PREFIXES = {"rem": Remember, "forg": Forget, "erase": Erase}
 _CONSTANTS = {"true": Top, "false": Bottom, "known": Known}
+# binary connective -> (token, precedence, groups to the right)
+_INFIX = {Iff: ("<->", 0, True), Implies: ("->", 1, True), Or: ("|", 2, False), And: ("&", 3, False)}
+
+# Built from the tables above.  Prefix operators and atoms bind tightest.
+_TIGHTEST = len(_INFIX)
+_INFIX_OF = {token: cls for cls, (token, _, _) in _INFIX.items()}
+# prefix operator -> the text before its operand, a format of the node's fields
+_PREFIX = {
+    Not: "~",
+    At: "@{nom} ",
+    **{cls: f"{opening}{{rel}}{close}" for opening, (close, cls) in _BRACKETS.items()},
+    **{cls: f"{word} " for word, cls in _MEMORY_PREFIXES.items()},
+}
+# atom -> its text, a format of the node's fields
+_ATOMS = {**{cls: word for word, cls in _CONSTANTS.items()}, Prop: "{name}", Nom: "'{name}"}
+RESERVED_WORDS = frozenset(_CONSTANTS) | frozenset(_MEMORY_PREFIXES)
 
 
 class _Parser:
@@ -500,32 +523,21 @@ class _Parser:
         return cls(*args, sub), height
 
     def parse(self) -> Formula:
-        phi, _ = self.iff()
+        phi, _ = self.infix()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(tok.pos, "end of input")
         return phi
 
-    def iff(self) -> tuple[Formula, int]:
-        left = self.impl()
-        tok = self.accept("<->")
-        return self.binary(tok, Iff, left, self.iff) if tok else left
-
-    def impl(self) -> tuple[Formula, int]:
-        left = self.or_()
-        tok = self.accept("->")
-        return self.binary(tok, Implies, left, self.impl) if tok else left
-
-    def or_(self) -> tuple[Formula, int]:
-        out = self.and_()
-        while tok := self.accept("|"):
-            out = self.binary(tok, Or, out, self.and_)
-        return out
-
-    def and_(self) -> tuple[Formula, int]:
+    def infix(self, floor: int = 0) -> tuple[Formula, int]:
+        """Precedence climbing over _INFIX: a formula whose connectives bind
+        at least as tightly as floor.  A connective's right operand binds
+        at least as tightly as the connective, strictly so if it groups to
+        the left."""
         out = self.unary()
-        while tok := self.accept("&"):
-            out = self.binary(tok, And, out, self.unary)
+        while (cls := _INFIX_OF.get(self.peek().text)) and _INFIX[cls][1] >= floor:
+            _, prec, right = _INFIX[cls]
+            out = self.binary(self.take(), cls, out, lambda: self.infix(prec + (not right)))
         return out
 
     def unary(self) -> tuple[Formula, int]:
@@ -548,7 +560,7 @@ class _Parser:
     def atom(self) -> tuple[Formula, int]:
         tok = self.peek()
         if self.accept("("):
-            out = self.below(tok, self.iff)
+            out = self.below(tok, self.infix)
             self.expect_sym(")")
             return out
         if self.accept("'"):
@@ -569,9 +581,6 @@ def parse_formula(text: str, sig: Signature, spec: LogicSpec) -> Formula:
 # ---------------------------------------------------------------------------
 # Printer
 
-# precedence: <-> 0, -> 1, | 2, & 3, unary/atoms 4
-_PREC = {Iff: 0, Implies: 1, Or: 2, And: 3}
-
 
 def print_formula(phi: Formula) -> str:
     """Render with minimal parentheses; parse_formula round-trips the result."""
@@ -582,51 +591,27 @@ def _kept(phi: Formula, ctx: int) -> str | None:
     """phi's text in a context of precedence ctx once printed: a node keeps it
     in its ``__dict__``, not a field, so ``==``, hash and repr ignore it."""
     text = phi.__dict__.get("_text")
-    return f"({text})" if text and ctx > _PREC.get(type(phi), 4) else text
+    infix = _INFIX.get(type(phi))
+    return f"({text})" if text and infix and ctx > infix[1] else text
 
 
 def _render(need: tuple[Formula, int]):
     """Print phi for a context of precedence ctx, walking unprinted parts."""
     phi, ctx = need
-    match phi:
-        case Top():
-            text = "true"
-        case Bottom():
-            text = "false"
-        case Known():
-            text = "known"
-        case Prop(name):
-            text = name
-        case Nom(name):
-            text = f"'{name}"
-        case Not(sub):
-            text = f"~{_kept(sub, 4) or (yield sub, 4)}"
-        case Diamond(rel, sub):
-            text = f"<{rel}>{_kept(sub, 4) or (yield sub, 4)}"
-        case Box(rel, sub):
-            text = f"[{rel}]{_kept(sub, 4) or (yield sub, 4)}"
-        case DDiamond(rel, sub):
-            text = f"<<{rel}>>{_kept(sub, 4) or (yield sub, 4)}"
-        case DBox(rel, sub):
-            text = f"[[{rel}]]{_kept(sub, 4) or (yield sub, 4)}"
-        case At(nom, sub):
-            text = f"@{nom} {_kept(sub, 4) or (yield sub, 4)}"
-        case Remember(sub):
-            text = f"rem {_kept(sub, 4) or (yield sub, 4)}"
-        case Forget(sub):
-            text = f"forg {_kept(sub, 4) or (yield sub, 4)}"
-        case Erase(sub):
-            text = f"erase {_kept(sub, 4) or (yield sub, 4)}"
-        case And(a, b):
-            text = f"{_kept(a, 3) or (yield a, 3)} & {_kept(b, 4) or (yield b, 4)}"
-        case Or(a, b):
-            text = f"{_kept(a, 2) or (yield a, 2)} | {_kept(b, 3) or (yield b, 3)}"
-        case Implies(a, b):
-            text = f"{_kept(a, 2) or (yield a, 2)} -> {_kept(b, 1) or (yield b, 1)}"
-        case Iff(a, b):
-            text = f"{_kept(a, 1) or (yield a, 1)} <-> {_kept(b, 0) or (yield b, 0)}"
-        case _:
-            raise TypeError(f"not a formula: {phi!r}")
+    cls = type(phi)
+    if cls in _INFIX:
+        token, prec, right = _INFIX[cls]
+        a, b, ca, cb = phi.left, phi.right, prec + right, prec + (not right)
+        text = f"{_kept(a, ca) or (yield a, ca)} {token} {_kept(b, cb) or (yield b, cb)}"
+    elif cls in _PREFIX:
+        sub = phi.sub
+        text = _PREFIX[cls].format_map(phi.__dict__) + (
+            _kept(sub, _TIGHTEST) or (yield sub, _TIGHTEST)
+        )
+    elif cls in _ATOMS:
+        text = _ATOMS[cls].format_map(phi.__dict__)
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
     phi.__dict__["_text"] = text
     return _kept(phi, ctx)
 
@@ -634,16 +619,10 @@ def _render(need: tuple[Formula, int]):
 @_walker
 def formula_size(phi: Formula) -> int:
     """Node count of the syntax tree."""
-    match phi:
-        case Top() | Bottom() | Prop(_) | Nom(_) | Known():
-            return 1
-        case Not(sub) | Diamond(_, sub) | Box(_, sub) | DDiamond(_, sub) | DBox(_, sub):
-            return 1 + (yield sub)
-        case Remember(sub) | Forget(sub) | Erase(sub) | At(_, sub):
-            return 1 + (yield sub)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return 1 + (yield a) + (yield b)
-    raise TypeError(f"not a formula: {phi!r}")
+    size = 1
+    for part in _parts(phi):
+        size += yield part
+    return size
 
 
 def conjoin(parts) -> Formula:
