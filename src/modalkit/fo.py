@@ -15,7 +15,7 @@ from .errors import (
     UnboundVariableError,
     UnknownSymbolError,
 )
-from .syntax import _Node, _parts, _walk, _walker
+from .syntax import _Node, _frozen, _parts, _walk, _walker
 
 # ---------------------------------------------------------------------------
 # Terms and formulas
@@ -36,77 +36,77 @@ class Const(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class FOFormula(_Node):
     def __str__(self) -> str:
         return fo_print(self)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Top(FOFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Bottom(FOFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Pred(FOFormula):
     name: str
     arg: Term
 
 
-@dataclass(frozen=True)
+@_frozen
 class Rel(FOFormula):
     name: str
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_frozen
 class Eq(FOFormula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_frozen
 class Not(FOFormula):
     sub: FOFormula
 
 
-@dataclass(frozen=True)
+@_frozen
 class And(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Or(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Implies(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Iff(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Exists(FOFormula):
     var: str
     sub: FOFormula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Forall(FOFormula):
     var: str
     sub: FOFormula

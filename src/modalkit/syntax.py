@@ -29,7 +29,7 @@ parser: every formula walker runs on ``_walk``'s explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 
 from .errors import (
@@ -174,10 +174,63 @@ def get_dialect(name: str) -> LogicSpec:
 
 
 class _Node:
-    """Base of the modal and first-order formula nodes."""
+    """Base of the modal and first-order formula nodes.  ``==``, ``hash`` and
+    ``repr`` give what the dataclass-generated methods give, on an explicit
+    stack, so a formula of any depth compares, hashes and prints.  A node
+    keeps its hash in its ``__dict__``, beside its printed text, and
+    pickles without them: a string's hash differs between processes."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            for x, y in zip(_values(a), _values(b)):
+                if isinstance(x, _Node):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        return _walk(_hashed, self) if h is None else h
+
+    def __repr__(self):
+        return _join(_repr_pieces, self)
+
+    def __reduce__(self):
+        return type(self), _values(self)
 
 
-@dataclass(frozen=True)
+def _hashed(phi):
+    """phi's dataclass hash, kept on phi once its parts keep theirs."""
+    values = _values(phi)
+    for v in values:
+        if isinstance(v, _Node) and "_hash" not in v.__dict__:
+            yield v
+    h = phi.__dict__["_hash"] = hash(values)
+    return h
+
+
+def _repr_pieces(phi):
+    """phi's dataclass repr: strings, and the parts whose reprs go between."""
+    pieces = []
+    for name, v in zip(phi.__match_args__, _values(phi)):
+        pieces += [", ", f"{name}=", v if isinstance(v, _Node) else repr(v)]
+    return [f"{type(phi).__qualname__}(", *pieces[1:], ")"]
+
+
+# A formula node class: frozen, with _Node's ==, hash and repr.
+_frozen = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_frozen
 class Formula(_Node):
     """Base class for formula nodes."""
 
@@ -185,73 +238,73 @@ class Formula(_Node):
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class Nom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class Known(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Diamond(Formula):
     rel: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Box(Formula):
     rel: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class DDiamond(Formula):
     """Double diamond: move to a successor after memorizing the current world."""
 
@@ -259,28 +312,28 @@ class DDiamond(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class DBox(Formula):
     rel: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Remember(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Forget(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class Erase(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_frozen
 class At(Formula):
     nom: str
     sub: Formula
@@ -288,6 +341,14 @@ class At(Formula):
 
 MODALITIES = {"diamond": Diamond, "box": Box, "ddiamond": DDiamond, "dbox": DBox}
 _DUALS = {"diamond": "box", "box": "diamond", "ddiamond": "dbox", "dbox": "ddiamond"}
+# node class -> (its name field, the name's role); every other field of a
+# node holds a subformula
+_NAMED = {
+    Prop: ("name", "proposition"),
+    Nom: ("name", "nominal"),
+    At: ("nom", "nominal"),
+    **{cls: ("rel", "relation") for cls in MODALITIES.values()},
+}
 
 
 def modality(spec: LogicSpec, operator: str, rel: str, sub: Formula) -> Formula:
@@ -333,11 +394,29 @@ def _walker(node):
     return wraps(node)(lambda phi: _walk(node, phi))
 
 
+def _values(phi) -> tuple:
+    """phi's field values, in field order."""
+    return tuple(map(phi.__getattribute__, phi.__match_args__))
+
+
 def _parts(phi) -> list:
     """phi's subformulas, in field order."""
     if not isinstance(phi, _Node):
         raise TypeError(f"not a formula: {phi!r}")
-    return [v for v in map(phi.__getattribute__, phi.__match_args__) if isinstance(v, _Node)]
+    return [v for v in _values(phi) if isinstance(v, _Node)]
+
+
+def _join(pieces, root) -> str:
+    """root's text in one join: pieces(item) lists strings and further
+    items, each of whose own pieces take its place, on one explicit stack."""
+    out, todo = [], [root]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            todo += reversed(pieces(item))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -361,46 +440,22 @@ def validate_formula(phi: Formula, sig: Signature, spec: LogicSpec) -> None:
     """Raise UnknownNameError/OperatorNotInDialectError if phi is not a
     well-formed formula of the dialect over the signature."""
 
-    def need(op: str) -> None:
-        if not spec.allows(op):
-            raise OperatorNotInDialectError(op, spec.name)
+    names = {"proposition": sig.props, "relation": sig.rels, "nominal": sig.noms}
 
     def node(phi: Formula):
-        match phi:
-            case Top() | Bottom():
-                pass
-            case Prop(name):
-                if name not in sig.props:
-                    raise UnknownNameError(name, "proposition")
-            case Nom(name):
-                need("nominal")
-                if name not in sig.noms:
-                    raise UnknownNameError(name, "nominal")
-            case Known():
-                need("known")
-            case Not() | Implies() | Iff() if not spec.has_negation:
-                # material implication smuggles in negation
-                raise OperatorNotInDialectError("negation", spec.name)
-            case Not(sub):
-                yield sub
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-                yield a
-                yield b
-            case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
-                need(type(phi).__name__.lower())
-                if rel not in sig.rels:
-                    raise UnknownNameError(rel, "relation")
-                yield sub
-            case Remember(sub) | Forget(sub) | Erase(sub):
-                need(type(phi).__name__.lower())
-                yield sub
-            case At(nom, sub):
-                need("at")
-                if nom not in sig.noms:
-                    raise UnknownNameError(nom, "nominal")
-                yield sub
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
+        cls = type(phi)
+        if cls in (Not, Implies, Iff) and not spec.has_negation:
+            # material implication smuggles in negation
+            raise OperatorNotInDialectError("negation", spec.name)
+        op = "nominal" if cls is Nom else cls.__name__.lower()
+        if op in OPERATORS and not spec.allows(op):
+            raise OperatorNotInDialectError(op, spec.name)
+        if cls in _NAMED:
+            field, role = _NAMED[cls]
+            if (name := getattr(phi, field)) not in names[role]:
+                raise UnknownNameError(name, role)
+        for part in _parts(phi):
+            yield part
 
     _walk(node, phi)
 
@@ -583,37 +638,41 @@ def parse_formula(text: str, sig: Signature, spec: LogicSpec) -> Formula:
 
 
 def print_formula(phi: Formula) -> str:
-    """Render with minimal parentheses; parse_formula round-trips the result."""
-    return _kept(phi, 0) or _walk(_render, (phi, 0))
+    """Render with minimal parentheses; parse_formula round-trips the result.
 
-
-def _kept(phi: Formula, ctx: int) -> str | None:
-    """phi's text in a context of precedence ctx once printed: a node keeps it
-    in its ``__dict__``, not a field, so ``==``, hash and repr ignore it."""
+    phi keeps its text in its ``__dict__`` (so ``==``, hash and repr ignore
+    it): printing phi again, or a formula built over it, reads the text
+    back.  Its parts keep nothing, and the text is built in one join."""
     text = phi.__dict__.get("_text")
+    if text is None:
+        text = phi.__dict__["_text"] = _join(_render, (phi, 0))
+    return text
+
+
+def _piece(phi: Formula, ctx: int):
+    """phi's kept text for a context of precedence ctx, or, if phi was never
+    printed, the item (phi, ctx) that renders it."""
+    text = phi.__dict__.get("_text")
+    if text is None:
+        return phi, ctx
     infix = _INFIX.get(type(phi))
-    return f"({text})" if text and infix and ctx > infix[1] else text
+    return f"({text})" if infix and ctx > infix[1] else text
 
 
-def _render(need: tuple[Formula, int]):
-    """Print phi for a context of precedence ctx, walking unprinted parts."""
+def _render(need: tuple[Formula, int]) -> list:
+    """The pieces of phi's text for a context of precedence ctx: strings, and
+    an item for each part not printed yet."""
     phi, ctx = need
     cls = type(phi)
     if cls in _INFIX:
         token, prec, right = _INFIX[cls]
-        a, b, ca, cb = phi.left, phi.right, prec + right, prec + (not right)
-        text = f"{_kept(a, ca) or (yield a, ca)} {token} {_kept(b, cb) or (yield b, cb)}"
-    elif cls in _PREFIX:
-        sub = phi.sub
-        text = _PREFIX[cls].format_map(phi.__dict__) + (
-            _kept(sub, _TIGHTEST) or (yield sub, _TIGHTEST)
-        )
-    elif cls in _ATOMS:
-        text = _ATOMS[cls].format_map(phi.__dict__)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    phi.__dict__["_text"] = text
-    return _kept(phi, ctx)
+        pieces = [_piece(phi.left, prec + right), f" {token} ", _piece(phi.right, prec + (not right))]
+        return ["(", *pieces, ")"] if ctx > prec else pieces
+    if cls in _PREFIX:
+        return [_PREFIX[cls].format_map(phi.__dict__), _piece(phi.sub, _TIGHTEST)]
+    if cls in _ATOMS:
+        return [_ATOMS[cls].format_map(phi.__dict__)]
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 @_walker

@@ -9,6 +9,7 @@ path and keep shrinking fast.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields, make_dataclass
 from functools import reduce
 from itertools import count
 from pathlib import Path
@@ -25,7 +26,7 @@ from modalkit.errors import (
     UnknownNameError,
     UnknownSymbolError,
 )
-from modalkit.kripke import KripkeModel, PointedModel
+from modalkit.kripke import KripkeModel, PointedModel, SplitMix64
 from modalkit.kripke import load_model as _load_model
 from modalkit.syntax import (
     DIALECTS,
@@ -536,6 +537,104 @@ def reference_meaning(self, phi: Formula) -> int:
             return self.pre(("close", "nom", nom), reference_meaning(self, sub))
     raise TypeError(f"not a formula: {phi!r}")
 
+
+
+# ---------------------------------------------------------------------------
+# Reference generator
+
+# suite.random_formula as it was before it built the drawn class from its
+# dataclass fields: kept verbatim but for its name as the reference for the
+# generator's draws.
+
+
+def reference_random_formula(spec: LogicSpec, sig: Signature, rng: SplitMix64, depth: int) -> Formula:
+    """A uniform-ish random formula of the dialect with syntax-tree depth at
+    most ``depth``, driven entirely by the given generator."""
+    leaves = ["top", "bottom"]
+    if sig.props:
+        leaves.extend(["prop", "prop"])
+    if spec.allows("known"):
+        leaves.append("known")
+    if spec.allows("nominal") and sig.noms:
+        leaves.append("nominal")
+    options = list(leaves)
+    if depth > 0:
+        options.extend(["and", "and", "or", "or"])
+        if spec.has_negation:
+            options.extend(["not", "not", "implies", "iff"])
+        for op in ("diamond", "box", "ddiamond", "dbox"):
+            if spec.allows(op) and sig.rels:
+                options.extend([op, op])
+        for op in ("remember", "forget", "erase"):
+            if spec.allows(op):
+                options.append(op)
+        if spec.allows("at") and sig.noms:
+            options.append("at")
+    pick = options[rng.next_below(len(options))]
+    sub = depth - 1
+    match pick:
+        case "top":
+            return Top()
+        case "bottom":
+            return Bottom()
+        case "prop":
+            return Prop(sig.props[rng.next_below(len(sig.props))])
+        case "known":
+            return Known()
+        case "nominal":
+            return Nom(sig.noms[rng.next_below(len(sig.noms))])
+        case "not":
+            return Not(reference_random_formula(spec, sig, rng, sub))
+        case "and":
+            return And(reference_random_formula(spec, sig, rng, sub), reference_random_formula(spec, sig, rng, sub))
+        case "or":
+            return Or(reference_random_formula(spec, sig, rng, sub), reference_random_formula(spec, sig, rng, sub))
+        case "implies":
+            return Implies(
+                reference_random_formula(spec, sig, rng, sub), reference_random_formula(spec, sig, rng, sub)
+            )
+        case "iff":
+            return Iff(reference_random_formula(spec, sig, rng, sub), reference_random_formula(spec, sig, rng, sub))
+        case "diamond":
+            return Diamond(sig.rels[rng.next_below(len(sig.rels))], reference_random_formula(spec, sig, rng, sub))
+        case "box":
+            return Box(sig.rels[rng.next_below(len(sig.rels))], reference_random_formula(spec, sig, rng, sub))
+        case "ddiamond":
+            return DDiamond(
+                sig.rels[rng.next_below(len(sig.rels))], reference_random_formula(spec, sig, rng, sub)
+            )
+        case "dbox":
+            return DBox(sig.rels[rng.next_below(len(sig.rels))], reference_random_formula(spec, sig, rng, sub))
+        case "remember":
+            return Remember(reference_random_formula(spec, sig, rng, sub))
+        case "forget":
+            return Forget(reference_random_formula(spec, sig, rng, sub))
+        case "erase":
+            return Erase(reference_random_formula(spec, sig, rng, sub))
+        case "at":
+            return At(sig.noms[rng.next_below(len(sig.noms))], reference_random_formula(spec, sig, rng, sub))
+    raise AssertionError(pick)
+
+
+# ---------------------------------------------------------------------------
+# Mirrored nodes
+
+# Plain frozen dataclasses with the names and fields of every modal and
+# first-order node class: their ==, hash and repr are the ones dataclasses
+# generates, the reference for the nodes' own explicit-stack methods.
+
+MIRRORS = {
+    cls: make_dataclass(cls.__name__, [(f.name, object) for f in fields(cls)], frozen=True)
+    for base in (Formula, fo.FOFormula)
+    for cls in base.__subclasses__()
+}
+
+
+def mirror(phi):
+    """phi rebuilt from the mirrored dataclasses (terms and names as they are)."""
+    if type(phi) not in MIRRORS:
+        return phi
+    return MIRRORS[type(phi)](*(mirror(getattr(phi, f.name)) for f in fields(phi)))
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,13 @@ def test_translate_gives_the_first_token_a_role(capsys):
     assert (code, out) == (0, "(p x)\n")
 
 
+def test_signature_inference_reads_every_modal_bracket():
+    """A name right after any opening modal bracket, double ones included,
+    is a relation."""
+    sig = cli._infer_signature("[[r]]p & <<s>>q", [])
+    assert (sig.props, sig.rels, sig.noms) == (("p", "q"), ("r", "s"), ())
+
+
 def test_translate_still_enforces_the_dialect(capsys):
     code, out, err = run(capsys, "translate", "-f", "@k p", "-d", "bml")
     assert code == 2 and out == "" and err.startswith("error:")

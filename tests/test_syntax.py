@@ -1,5 +1,6 @@
 """Parser, printer, dialect table, and the small formula utilities."""
 
+import pickle
 from dataclasses import fields
 from functools import partial
 
@@ -7,7 +8,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import NESTED, SIG, SIG_NOM, formulas, reference_fold, reference_print, sig_for
+from conftest import (
+    ALL_DIALECTS,
+    NESTED,
+    SIG,
+    SIG_NOM,
+    formulas,
+    mirror,
+    reference_fold,
+    reference_print,
+    reference_random_formula,
+    sig_for,
+)
+from modalkit import syntax
+from modalkit.fo import quantifier_rank
+from modalkit.kripke import SplitMix64
+from modalkit.suite import _sig_for, random_formula
+from modalkit.translate import translate_formula
 from modalkit.errors import (
     InvariantViolationError,
     OperatorNotInDialectError,
@@ -309,7 +326,7 @@ def _cold(phi: Formula) -> Formula:
 
 @given(formulas(ALL, SIG_NOM))
 def test_printer_matches_the_reference(phi):
-    """print_formula keeps each node's text on the node; what it prints
+    """print_formula keeps the printed formula's text on it; what it prints
     equals the plain recursive reference printer's text on a cold formula,
     on a second print, and on binary formulas built over parts printed
     before, whatever the precedence of the context they land in."""
@@ -351,3 +368,67 @@ def test_sorted_folds_carry_the_printed_text(parts):
         for folded in (cold, warm):
             assert print_formula(folded) == reference_print(expected)
             assert print_formula(Not(folded)) == reference_print(Not(expected))
+
+
+# ---------------------------------------------------------------------------
+# The syntax table
+
+
+def _instance(cls) -> Formula:
+    """One node of cls over SIG_NOM: relation r, nominal i, proposition p,
+    and p for every subformula."""
+    names = {"rel": "r", "nom": "i", "name": "i" if cls is Nom else "p"}
+    return cls(*(names.get(f.name, Prop("p")) for f in fields(cls)))
+
+
+def test_every_node_has_one_printer_entry():
+    """The printer reads each node's form from exactly one table (infix,
+    prefix, or atom: the words, Prop and Nom), and the parser reads the
+    printed form of one node of each class back."""
+    nodes = Formula.__subclasses__()
+    tables = (syntax._INFIX, syntax._PREFIX, syntax._ATOMS)
+    assert {cls for table in tables for cls in table} == set(nodes)
+    for cls in nodes:
+        assert sum(cls in table for table in tables) == 1, cls
+        phi = _instance(cls)
+        assert parse_formula(print_formula(phi), SIG_NOM, ALL) == phi
+
+
+@pytest.mark.parametrize("walker", [formula_size, modal_depth, quantifier_rank])
+@pytest.mark.parametrize("thing", [None, 1, "p", SIG])
+def test_walkers_reject_what_is_no_formula(walker, thing):
+    with pytest.raises(TypeError):
+        walker(thing)
+
+
+def test_random_formula_draws_as_the_reference():
+    """The generator builds the drawn class from its fields and draws as the
+    reference does: the same formulas and the same final generator state
+    for every dialect, seeds 0-299 and depths 0-5 drawn in turn."""
+    for name in ALL_DIALECTS:
+        spec = DIALECTS[name]
+        sig = _sig_for(spec)
+        for seed in range(300):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            for depth in range(6):
+                phi = random_formula(spec, sig, rng, depth)
+                expected = reference_random_formula(spec, sig, ref, depth)
+                assert print_formula(phi) == print_formula(expected), (name, seed, depth)
+            assert rng.state == ref.state, (name, seed)
+
+
+@given(formulas(ALL, SIG_NOM, max_leaves=4), formulas(ALL, SIG_NOM, max_leaves=4))
+def test_node_methods_match_the_dataclass_ones(phi, psi):
+    """==, hash and repr of modal and first-order nodes give what the
+    dataclass-generated methods of their mirrors give; a node pickles
+    without its kept hash and text."""
+    fo_phi = translate_formula(phi)
+    pairs = [(phi, psi), (phi, _cold(phi)), (fo_phi, translate_formula(psi)), (fo_phi, translate_formula(phi))]
+    for a, b in pairs:
+        assert (a == b) == (mirror(a) == mirror(b))
+        assert (a != b) == (mirror(a) != mirror(b))
+        assert hash(a) == hash(mirror(a)) and repr(a) == repr(mirror(a))
+        assert a != mirror(a) and a != 1
+    print_formula(phi)
+    clone = pickle.loads(pickle.dumps(phi))
+    assert clone == phi and "_hash" not in vars(clone) and "_text" not in vars(clone)
