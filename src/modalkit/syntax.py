@@ -14,12 +14,9 @@ nominal.  '#' starts a comment that runs to end of line.  Unary operators bind
 tightest, then '&', '|', '->', '<->'; '&' and '|' group to the left, '->' and
 '<->' to the right.
 
-Four tables state the concrete syntax: ``_BRACKETS`` (the modal brackets),
-``_MEMORY_PREFIXES`` (the memory words), ``_CONSTANTS`` (the constant words)
-and ``_INFIX`` (each binary connective's token, precedence and grouping).
-The parser reads them, the printer's ``_PREFIX`` and ``_ATOMS`` and
-``RESERVED_WORDS`` are built from them, and the command line's signature
-inference reads ``_BRACKETS``.
+The tables ``_BRACKETS``, ``_MEMORY_PREFIXES``, ``_CONSTANTS`` and ``_INFIX``
+state the concrete syntax: the lexer, the parser, the printer, RESERVED_WORDS
+and the command line's signature inference all read it from them.
 
 On any path from the whole formula down to an atom, every operator and every
 pair of parentheses is one level ('p & p & p' has two); deeper nesting than
@@ -29,8 +26,8 @@ parser: every formula walker runs on ``_walk``'s explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import wraps
+from dataclasses import dataclass, fields
+from functools import cache, wraps
 
 from .errors import (
     InvariantViolationError,
@@ -214,8 +211,7 @@ def _hashed(phi):
     for v in values:
         if isinstance(v, _Node) and "_hash" not in v.__dict__:
             yield v
-    h = phi.__dict__["_hash"] = hash(values)
-    return h
+    return phi.__dict__.setdefault("_hash", hash(values))
 
 
 def _repr_pieces(phi):
@@ -400,10 +396,16 @@ def _values(phi) -> tuple:
 
 
 def _parts(phi) -> list:
-    """phi's subformulas, in field order."""
+    """phi's subformulas: the values of the fields its class declares as
+    formulas, in field order."""
     if not isinstance(phi, _Node):
         raise TypeError(f"not a formula: {phi!r}")
-    return [v for v in _values(phi) if isinstance(v, _Node)]
+    return [getattr(phi, name) for name in _part_fields(type(phi))]
+
+
+@cache
+def _part_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.type in ("Formula", "FOFormula"))
 
 
 def _join(pieces, root) -> str:
@@ -463,8 +465,6 @@ def validate_formula(phi: Formula, sig: Signature, spec: LogicSpec) -> None:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_SYMBOLS = ("<->", "<<", ">>", "[[", "]]", "->", "<", ">", "[", "]", "(", ")", "&", "|", "~", "@", "'")
-
 
 @dataclass(frozen=True)
 class _Token:
@@ -523,6 +523,9 @@ _PREFIX = {
 # atom -> its text, a format of the node's fields
 _ATOMS = {**{cls: word for word, cls in _CONSTANTS.items()}, Prop: "{name}", Nom: "'{name}"}
 RESERVED_WORDS = frozenset(_CONSTANTS) | frozenset(_MEMORY_PREFIXES)
+# every symbol, longest first: the lexer takes the longest one that matches
+_CLOSING = [close for close, _ in _BRACKETS.values()]
+_SYMBOLS = tuple(sorted([*_INFIX_OF, *_BRACKETS, *_CLOSING, "(", ")", "~", "@", "'"], key=len, reverse=True))
 
 
 class _Parser:
@@ -585,10 +588,8 @@ class _Parser:
         return phi
 
     def infix(self, floor: int = 0) -> tuple[Formula, int]:
-        """Precedence climbing over _INFIX: a formula whose connectives bind
-        at least as tightly as floor.  A connective's right operand binds
-        at least as tightly as the connective, strictly so if it groups to
-        the left."""
+        """Precedence climbing: a formula whose top connectives bind at least
+        as tightly as floor; a left-grouping one's right operand, tighter."""
         out = self.unary()
         while (cls := _INFIX_OF.get(self.peek().text)) and _INFIX[cls][1] >= floor:
             _, prec, right = _INFIX[cls]
@@ -639,10 +640,8 @@ def parse_formula(text: str, sig: Signature, spec: LogicSpec) -> Formula:
 
 def print_formula(phi: Formula) -> str:
     """Render with minimal parentheses; parse_formula round-trips the result.
-
-    phi keeps its text in its ``__dict__`` (so ``==``, hash and repr ignore
-    it): printing phi again, or a formula built over it, reads the text
-    back.  Its parts keep nothing, and the text is built in one join."""
+    phi keeps the text in its ``__dict__`` (its parts keep none), which ``==``,
+    hash and repr ignore: printing phi again, or a formula over it, reads it."""
     text = phi.__dict__.get("_text")
     if text is None:
         text = phi.__dict__["_text"] = _join(_render, (phi, 0))

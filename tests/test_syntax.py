@@ -395,10 +395,14 @@ def test_every_node_has_one_printer_entry():
 
 
 @pytest.mark.parametrize("walker", [formula_size, modal_depth, quantifier_rank])
-@pytest.mark.parametrize("thing", [None, 1, "p", SIG])
+@pytest.mark.parametrize("thing", [None, 1, "p", SIG, Not("p")])
 def test_walkers_reject_what_is_no_formula(walker, thing):
+    """A walker takes its subformulas from the fields a node declares as
+    formulas, so a non-formula there raises as one at the top does."""
     with pytest.raises(TypeError):
         walker(thing)
+    with pytest.raises(TypeError):
+        validate_formula(thing, SIG, ALL)
 
 
 def test_random_formula_draws_as_the_reference():
