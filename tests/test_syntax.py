@@ -394,15 +394,16 @@ def test_every_node_has_one_printer_entry():
         assert parse_formula(print_formula(phi), SIG_NOM, ALL) == phi
 
 
-@pytest.mark.parametrize("walker", [formula_size, modal_depth, quantifier_rank])
+WALKERS = [formula_size, modal_depth, quantifier_rank, partial(validate_formula, sig=SIG, spec=ALL)]
+
+
+@pytest.mark.parametrize("walker", WALKERS, ids=["size", "depth", "rank", "validate"])
 @pytest.mark.parametrize("thing", [None, 1, "p", SIG, Not("p")])
 def test_walkers_reject_what_is_no_formula(walker, thing):
     """A walker takes its subformulas from the fields a node declares as
     formulas, so a non-formula there raises as one at the top does."""
     with pytest.raises(TypeError):
         walker(thing)
-    with pytest.raises(TypeError):
-        validate_formula(thing, SIG, ALL)
 
 
 def test_random_formula_draws_as_the_reference():
