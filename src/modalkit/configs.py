@@ -1,4 +1,4 @@
-"""Configurations and how they move.
+"""Configurations, how they move, and what a space of them compares.
 
 A *configuration* is a (memory set, world) pair.  This module is the one
 place that says how a configuration changes:
@@ -11,23 +11,21 @@ place that says how a configuration changes:
     (the current world committed to memory first, as the double modality
     does);
   - the modal clauses forth, back, mforth and mback, as data
-    ``(name, side, traced)``: the side whose successor is chosen first and
-    whether the step is traced.
+    ``(name, side, traced, operator)``: the side whose successor is chosen
+    first, whether the step is traced, and the modality a failed clause's
+    distinguisher asserts.
 
-``ConfigTable`` compiles one model's configurations: it interns each as an
-int in first-seen order, keeps its atomic signature as an int (the
-proposition bits in ``PairSpace.props`` order, then the ``known`` bit, then
-the nominal bits, each group only where its condition is on), caches on
-first use where each closure update and each modal step moves it, and keeps
-the inverse of each of those maps.  ``PairSpace`` holds what two tables
-share under one condition set (see ``equivalence.SimConditions``): the
-vocabulary, the active closures and clauses, and the static conditions on
-two signatures (``disagreement``, and ``static_reason`` naming its first
-bit).  The fixpoint, its distinguisher, ``verify_relation`` and the game run
-on table ids; a ``Config`` is built only by ``ConfigTable.intern`` and
-``initial_pair``.  ``EvalContext`` lays out one ``ConfigTable`` per model as
-its bit positions, reads its atom masks from the signatures and fills its
-per-operator predecessor tables from the tables' moves.
+``vocabulary`` names what a space over some models compares.  A
+``ConfigTable`` interns one model's configurations as ints, keeps each one's
+signature int (bit k: it satisfies the k-th *signature atom*, a ``Prop``,
+``Known`` or ``Nom``), and caches each move and its inverse on first use.
+``PairSpace`` holds what two tables share under one condition set (see
+``equivalence.SimConditions``): the vocabulary, the ``atoms`` its static
+conditions compare, the active closures and clauses, the operators ``ops``
+(the closures, then a step per relation and traced flag), and the static
+conditions on two signatures (``disagreement``, with ``static_atom`` naming
+its lowest bit).  The fixpoint, its distinguisher, ``verify_relation``, the
+game and ``EvalContext`` all read them from here and run on table ids.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import InvariantViolationError
 from .kripke import KripkeModel
-from .syntax import At, Erase, Forget, Formula, Remember
+from .syntax import At, Erase, Forget, Formula, Known, Nom, Prop, Remember
 
 if TYPE_CHECKING:
     from .equivalence import SimConditions
@@ -61,6 +59,18 @@ def pair_key(pair: Pair) -> tuple:
     """The canonical order of configuration pairs."""
     c1, c2 = pair
     return (c1.world, tuple(sorted(c1.mem)), c2.world, tuple(sorted(c2.mem)))
+
+
+def vocabulary(models, nominal: bool) -> tuple[list[str], list[str], list[str]]:
+    """The models' sorted propositions and relations, and the first model's
+    nominals; with ``nominal`` set, all models must assign the same ones."""
+    if nominal and len({tuple(sorted(m.noms)) for m in models}) > 1:
+        raise InvariantViolationError(
+            "nominal comparison requires all models to assign the same nominals"
+        )
+    props = sorted(set().union(*(m.val for m in models)))
+    rels = sorted(set().union(*(m.rels for m in models)))
+    return props, rels, sorted(models[0].noms) if models else []
 
 
 def initial_pair(left: KripkeModel, w: str, right: KripkeModel, v: str) -> Pair:
@@ -111,13 +121,14 @@ def closure_formula(kind: str, nominal: str | None, sub: Formula) -> Formula:
 
 # -- modal clauses ------------------------------------------------------------
 
-# name -> (side whose successor is chosen first, traced step); the order
-# fixes deletion reasons and the order of Spoiler's moves.
+# name -> (side whose successor is chosen first, traced step, the modality
+# a failed clause's distinguisher asserts); the order fixes deletion reasons
+# and the order of Spoiler's moves.
 CLAUSES = {
-    "forth": ("left", False),
-    "back": ("right", False),
-    "mforth": ("left", True),
-    "mback": ("right", True),
+    "forth": ("left", False, "diamond"),
+    "back": ("right", False, "box"),
+    "mforth": ("left", True, "ddiamond"),
+    "mback": ("right", True, "dbox"),
 }
 
 
@@ -135,15 +146,16 @@ class ConfigTable:
     """One model's configurations as ints, with their signatures and moves.
 
     ``configs[c]`` is the configuration with id c, ``sig[c]`` its atomic
-    signature; ``moves[op][c]`` is the tuple of ids one application of op
-    leads to from c (one id for a closure update, the successors for a step)
-    and ``pre[op][d]`` lists the ids whose ``moves[op]`` entry contains d.
-    Both are filled by ``targets``, entry by entry, on first use; ``move``
-    computes an entry without recording it.  A nominal the model does not
-    assign sets no signature bit.
+    signature (bit k set when it satisfies ``atoms[k]``); ``moves[op][c]``
+    is the tuple of ids one application of op leads to from c (one id for a
+    closure update, the successors for a step) and ``pre[op][d]`` lists the
+    ids whose ``moves[op]`` entry contains d.  Both are filled by
+    ``targets``, entry by entry, on first use; ``move`` computes an entry
+    without recording it.  A nominal the model does not assign sets no
+    signature bit.
     """
 
-    def __init__(self, model: KripkeModel, props: list[str], known: bool, noms):
+    def __init__(self, model: KripkeModel, atoms: tuple[Formula, ...]):
         self.model = model
         self.configs: list[Config] = []
         self.sig: list[int] = []
@@ -151,14 +163,16 @@ class ConfigTable:
         self.moves: dict[Op, dict[int, tuple[int, ...]]] = {}
         self.pre: dict[Op, dict[int, list[int]]] = {}
         bits: dict[str, int] = dict.fromkeys(model.worlds, 0)
-        for k, p in enumerate(props):
-            for w in model.val.get(p, ()):
-                bits[w] |= 1 << k
-        self._known_bit = 1 << len(props) if known else 0
-        base = len(props) + bool(known)
-        for k, i in enumerate(noms):
-            if i in model.noms:  # a dialect without nominals may mix models
-                bits[model.noms[i]] |= 1 << (base + k)
+        self._known_bit = 0
+        for k, atom in enumerate(atoms):
+            match atom:
+                case Prop(p):
+                    for w in model.val.get(p, ()):
+                        bits[w] |= 1 << k
+                case Known():
+                    self._known_bit = 1 << k
+                case Nom(i) if i in model.noms:  # a dialect without nominals may mix models
+                    bits[model.noms[i]] |= 1 << k
         self._world_bits = bits
 
     def intern(self, mem: frozenset[str], world: str) -> int:
@@ -204,19 +218,24 @@ class PairSpace:
         self.conds = conds
         self.left = left
         self.right = right
-        self.props = sorted(set(left.val) | set(right.val))
-        self.rels = sorted(set(left.rels) | set(right.rels))
-        if conds.nagree or conds.nom:
-            if sorted(left.noms) != sorted(right.noms):
-                raise InvariantViolationError(
-                    "nominal comparison requires both models to assign the same nominals"
-                )
-        self.noms = sorted(set(left.noms) & set(right.noms))
+        self.props, self.rels, self.noms = vocabulary((left, right), conds.nagree or conds.nom)
+        # the signature atoms, in bit order: what the static conditions compare
+        self.atoms = (
+            *map(Prop, self.props),
+            *(Known(),) * conds.kagree,
+            *map(Nom, self.noms if conds.nagree else ()),
+        )
         self.closures = closures(conds, self.noms)
         # the active modal clauses as (name, side, traced)
         self.clauses = tuple(
-            (name, side, traced) for name, (side, traced) in CLAUSES.items() if getattr(conds, name)
+            (name, side, traced)
+            for name, (side, traced, _) in CLAUSES.items()
+            if getattr(conds, name)
         )
+        steps = sorted({traced for _, _, traced in self.clauses})
+        self.ops: list[Op] = [("close", kind, nom) for kind, nom in self.closures] + [
+            ("step", rel, traced) for rel in self.rels for traced in steps
+        ]
         # The signature bits on which a pair fails the static conditions:
         # where the sides differ, or only where the left side holds a bit
         # when atomic agreement is one-directional.  No bits, no violation.
@@ -224,27 +243,30 @@ class PairSpace:
         self.disagreement = (lambda s1, s2: s1 & ~s2) if one_way else int.__xor__
 
     def config_tables(self) -> tuple[ConfigTable, ...]:
-        """A new ``ConfigTable`` per side, with the signature bits that the
-        static conditions compare."""
-        known, noms = self.conds.kagree, self.noms if self.conds.nagree else ()
-        return tuple(ConfigTable(m, self.props, known, noms) for m in (self.left, self.right))
+        """A new ``ConfigTable`` per side, over ``atoms``."""
+        return tuple(ConfigTable(m, self.atoms) for m in (self.left, self.right))
 
-    def static_reason(self, sig1: int, sig2: int) -> tuple | None:
-        """The first atomic disagreement of two signatures, or None: the
-        lowest bit of their ``disagreement``, named ("agree", p, side),
-        ("kagree", side) or ("nagree", i, side) by the signature's bit order,
-        side being the one that holds the bit."""
+    def static_atom(self, sig1: int, sig2: int) -> tuple[Formula, bool] | None:
+        """The atom of the lowest bit of two signatures' ``disagreement``
+        and whether the left side holds it, or None if they agree."""
         bits = self.disagreement(sig1, sig2)
         if not bits:
             return None
         low = bits & -bits
-        side = "left" if sig1 & low else "right"
-        k = low.bit_length() - 1
-        if k < len(self.props):
-            return ("agree", self.props[k], side)
-        k -= len(self.props)
-        if self.conds.kagree:
-            if k == 0:
+        return self.atoms[low.bit_length() - 1], bool(sig1 & low)
+
+    def static_reason(self, sig1: int, sig2: int) -> tuple | None:
+        """``static_atom`` named ("agree", p, side), ("kagree", side) or
+        ("nagree", i, side), side being the one that holds the atom."""
+        found = self.static_atom(sig1, sig2)
+        if found is None:
+            return None
+        atom, left = found
+        side = "left" if left else "right"
+        match atom:
+            case Prop(p):
+                return ("agree", p, side)
+            case Known():
                 return ("kagree", side)
-            k -= 1
-        return ("nagree", self.noms[k], side)
+            case Nom(i):
+                return ("nagree", i, side)

@@ -57,7 +57,7 @@ from functools import partial
 from itertools import accumulate, combinations
 from typing import Callable
 
-from .configs import ConfigTable, Op, closure_formula, closures
+from .configs import ConfigTable, Op, closure_formula, closures, vocabulary
 from .equivalence import conditions_for, fixpoint_separator
 from .errors import (
     BudgetExceededError,
@@ -69,6 +69,7 @@ from .errors import (
 )
 from .kripke import KripkeModel, PointedModel
 from .syntax import (
+    MEMORY_OPERATORS,
     MODALITIES,
     And,
     At,
@@ -96,7 +97,7 @@ from .syntax import (
     print_formula,
 )
 
-MEMORY_CHANGING = frozenset({"remember", "forget", "erase", "ddiamond", "dbox"})
+MEMORY_CHANGING = MEMORY_OPERATORS - {"known"}
 
 MAX_CONFIGS = 2**20
 
@@ -128,15 +129,8 @@ class EvalContext:
     def __init__(self, spec: LogicSpec, models: list[KripkeModel] | tuple[KripkeModel, ...]):
         self.spec = spec
         self.models = tuple(models)
-        self.props = sorted(set().union(*(m.val.keys() for m in self.models)) if self.models else [])
-        self.rels = sorted(set().union(*(m.rels.keys() for m in self.models)) if self.models else [])
-        if spec.allows("nominal") or spec.allows("at"):
-            nom_sets = {tuple(sorted(m.noms)) for m in self.models}
-            if len(nom_sets) > 1:
-                raise InvariantViolationError(
-                    "nominal comparison requires all models to assign the same nominals"
-                )
-        self.noms = sorted(self.models[0].noms) if self.models else []
+        nominal = spec.allows("nominal") or spec.allows("at")
+        self.props, self.rels, self.noms = vocabulary(self.models, nominal)
         conds = conditions_for(spec)
         self.memory_table = conds.memory_active
 
@@ -147,7 +141,8 @@ class EvalContext:
         )
         if size > MAX_CONFIGS:
             raise StateSpaceExceededError(MAX_CONFIGS)
-        self.tables = [ConfigTable(m, self.props, True, self.noms) for m in self.models]
+        atoms = (*map(Prop, self.props), Known(), *map(Nom, self.noms))
+        self.tables = [ConfigTable(m, atoms) for m in self.models]
         for m, table in zip(self.models, self.tables):
             for mem in _mem_subsets(m.worlds) if self.memory_table else [frozenset(m.mem)]:
                 for w in m.worlds:
@@ -159,20 +154,20 @@ class EvalContext:
         self.full = (1 << len(self.configs)) - 1
 
         # signature bit j -> the mask of the configurations that have it
-        masks = [0] * (len(self.props) + 1 + len(self.noms))
+        masks = [0] * len(atoms)
         for b, s in enumerate(s for table in self.tables for s in table.sig):
             while s:
                 j = s.bit_length() - 1
                 masks[j] |= 1 << b
                 s ^= 1 << j
-        self.prop_mask = dict(zip(self.props, masks))
-        self.known_mask = masks[len(self.props)]
-        self.nom_mask = dict(zip(self.noms, masks[len(self.props) + 1 :]))
-        self.atoms: list[tuple[Formula, int]] = [(Prop(p), self.prop_mask[p]) for p in self.props]
-        if spec.allows("known"):
-            self.atoms.append((Known(), self.known_mask))
-        if spec.allows("nominal"):
-            self.atoms.extend((Nom(i), self.nom_mask[i]) for i in self.noms)
+        mask_of = dict(zip(atoms, masks))
+        self.prop_mask = {p: mask_of[Prop(p)] for p in self.props}
+        self.known_mask = mask_of[Known()]
+        self.nom_mask = {i: mask_of[Nom(i)] for i in self.noms}
+        allowed = {Prop: True, Known: spec.allows("known"), Nom: spec.allows("nominal")}
+        self.atoms: list[tuple[Formula, int]] = [
+            (atom, mask) for atom, mask in zip(atoms, masks) if allowed[type(atom)]
+        ]
         self.updates: list[tuple[Callable[[Formula], Formula], Callable[[int], int]]] = []
         if spec.has_negation:
             self.updates.append((Not, self.not_t))

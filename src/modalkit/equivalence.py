@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 
 from .configs import (
     CLAUSES,
+    MEMORY_UPDATES,
     Config,  # re-exported: the pairs of a relation given to verify_relation
     Pair,
     PairSpace,
@@ -58,18 +59,7 @@ from .configs import (
 )
 from .errors import InvariantViolationError, StateSpaceExceededError
 from .kripke import KripkeModel
-from .syntax import (
-    Formula,
-    Known,
-    LogicSpec,
-    Nom,
-    Not,
-    Prop,
-    _walk,
-    conjoin,
-    disjoin,
-    modality,
-)
+from .syntax import _DUALS, Formula, LogicSpec, Not, _walk, conjoin, disjoin, modality
 
 DEFAULT_MAX_PAIRS = 2**20
 
@@ -103,20 +93,17 @@ def conditions_for(spec: LogicSpec) -> SimConditions:
     back-type clauses); the box alone forces the back clause even without
     negation, dually for the diamond and forth.
     """
-    ops = spec.operators
-    neg = spec.has_negation
+    ops, neg = spec.operators, spec.has_negation
     return SimConditions(
         atomic_one_directional=not neg,
         kagree="known" in ops,
-        remember="remember" in ops,
-        forget="forget" in ops,
-        erase="erase" in ops,
-        forth="diamond" in ops or (neg and "box" in ops),
-        back="box" in ops or (neg and "diamond" in ops),
-        mforth="ddiamond" in ops or (neg and "dbox" in ops),
-        mback="dbox" in ops or (neg and "ddiamond" in ops),
         nagree="nominal" in ops,
         nom="at" in ops,
+        **{kind: kind in ops for kind in MEMORY_UPDATES},
+        **{
+            name: op in ops or (neg and _DUALS[op] in ops)
+            for name, (_, _, op) in CLAUSES.items()
+        },
     )
 
 
@@ -160,10 +147,6 @@ class _Engine(PairSpace):
         # memory moves, |W| * 2^|W| with them.
         n = len(right.worlds)
         self.K = n << n if conds.memory_active else n
-        steps = sorted({traced for _, _, traced in self.clauses})
-        self.ops = [("close", kind, nom) for kind, nom in self.closures] + [
-            ("step", rel, traced) for rel in self.rels for traced in steps
-        ]
         self.dead: dict[int, tuple[int, tuple | None]] = {}
         self.alive: set[int] = set()
 
@@ -286,13 +269,6 @@ class _Engine(PairSpace):
 # ---------------------------------------------------------------------------
 # Distinguisher extraction by refinement tracing (non-memory dialects)
 
-# The operator whose truth a failed clause's distinguisher asserts.
-_CLAUSE_OPERATOR = {"forth": "diamond", "back": "box", "mforth": "ddiamond", "mback": "dbox"}
-
-# The atom a static reason names: asserted when the left side holds it,
-# negated when the right side does.
-_STATIC_ATOM = {"agree": Prop, "kagree": Known, "nagree": Nom}
-
 
 def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
     """Rebuild a distinguishing formula of a deleted pair id (true on the
@@ -305,14 +281,14 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
     def build(p: int):
         c1, c2 = divmod(p, K)
         _, reason = engine.dead[p]
-        match reason or engine.static_reason(t1.sig[c1], t2.sig[c2]):
-            case (("agree" | "kagree" | "nagree") as kind, *name, side):
-                atom = _STATIC_ATOM[kind](*name)
-                return atom if side == "left" else Not(atom)
+        if reason is None:  # the atom is asserted where the left side holds it
+            atom, left = engine.static_atom(t1.sig[c1], t2.sig[c2])
+            return atom if left else Not(atom)
+        match reason:
             case (("remember" | "forget" | "erase" | "nom") as kind, info, image):
                 return closure_formula(kind, info, (yield image))
             case (("forth" | "back" | "mforth" | "mback") as name, rel, target):
-                side, traced = CLAUSES[name]
+                side, traced, operator = CLAUSES[name]
                 op = ("step", rel, traced)
                 if side == "left":
                     replies = [target * K + u for u in t2.moves[op][c2]]
@@ -322,7 +298,7 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
                 for q in replies:
                     parts.append((yield q))
                 sub = conjoin(parts) if side == "left" else disjoin(parts)
-                return modality(spec, _CLAUSE_OPERATOR[name], rel, sub)
+                return modality(spec, operator, rel, sub)
         raise AssertionError(f"unknown deletion reason {reason!r}")
 
     return _walk(build, start, {})
