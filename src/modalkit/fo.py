@@ -8,14 +8,17 @@ Formulas print in a Lisp-like normal form, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import (
     InvariantViolationError,
+    StateSpaceExceededError,
     UnboundVariableError,
     UnknownSymbolError,
 )
-from .syntax import _Node, _frozen, _parts, _walk, _walker
+from .syntax import _join, _Node, _frozen, _parts, _walk, _walker
+
+# The most game positions back_and_forth explores before it gives up.
+MAX_POSITIONS = 100_000
 
 # ---------------------------------------------------------------------------
 # Terms and formulas
@@ -248,25 +251,31 @@ def _term_str(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-@_walker
 def fo_print(phi: FOFormula) -> str:
+    """phi's text, built in one join over ``_pieces``."""
+    return _join(_pieces, phi)
+
+
+def _pieces(phi: FOFormula) -> list:
+    """The pieces of phi's text: strings, and the subformulas whose texts go
+    between them."""
     match phi:
         case Top():
-            return "true"
+            return ["true"]
         case Bottom():
-            return "false"
+            return ["false"]
         case Pred(name, arg):
-            return f"({name} {_term_str(arg)})"
+            return [f"({name} {_term_str(arg)})"]
         case Rel(name, left, right):
-            return f"({name} {_term_str(left)} {_term_str(right)})"
+            return [f"({name} {_term_str(left)} {_term_str(right)})"]
         case Eq(left, right):
-            return f"(= {_term_str(left)} {_term_str(right)})"
+            return [f"(= {_term_str(left)} {_term_str(right)})"]
         case Not(sub):
-            return f"(not {(yield sub)})"
+            return ["(not ", sub, ")"]
         case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return f"({type(phi).__name__.lower()} {(yield a)} {(yield b)})"
+            return [f"({type(phi).__name__.lower()} ", a, " ", b, ")"]
         case Exists(var, sub) | Forall(var, sub):
-            return f"({type(phi).__name__.lower()} {var} {(yield sub)})"
+            return [f"({type(phi).__name__.lower()} {var} ", sub, ")"]
     raise TypeError(f"not a first-order formula: {phi!r}")
 
 
@@ -291,51 +300,62 @@ def back_and_forth(
     between (a, g) and (b, h)?
 
     True iff the two pointed structures agree on all first-order formulas of
-    quantifier rank <= rounds in one free variable.  The default round count
-    |a| * |b| is a heuristic cap that is always enough for structures this
-    size (the distinguishing rank of non-equivalent finite structures is
-    bounded well below it).
+    quantifier rank <= rounds in one free variable.  The default,
+    min(|a|, |b|) + 1 rounds, decides agreement on every formula: Spoiler
+    can pick each element of the smaller structure, which Duplicator must
+    match one to one preserving the atoms, and then one of the larger
+    outside the match, if any; so Duplicator survives them only between
+    isomorphic pointed structures, where it survives any number of rounds.
+    Past ``MAX_POSITIONS`` explored positions it raises
+    ``StateSpaceExceededError``.
     """
-    if set(a.unary) != set(b.unary) or set(a.binary) != set(b.binary) or set(a.consts) != set(
-        b.consts
-    ):
+    if any(set(getattr(a, f)) != set(getattr(b, f)) for f in ("unary", "binary", "consts")):
         raise UnknownSymbolError("structures must share a vocabulary")
     if rounds is None:
-        rounds = len(a.domain) * len(b.domain)
-    unary_names = tuple(sorted(a.unary))
-    binary_names = tuple(sorted(a.binary))
+        rounds = min(len(a.domain), len(b.domain)) + 1
+    if rounds < 0:
+        raise InvariantViolationError(f"rounds must be at least 0, got {rounds}")
+    unary = [(a.unary[p], b.unary[p]) for p in sorted(a.unary)]
+    binary = [(a.binary[r], b.binary[r]) for r in sorted(a.binary)]
+    # each pick of Spoiler's as the correspondences Duplicator may answer with
+    picks = [[(x, y) for y in b.domain] for x in a.domain]
+    picks += [[(x, y) for x in a.domain] for y in b.domain]
 
-    def atoms_agree(pairs: frozenset[tuple[str, str]]) -> bool:
-        for ta, tb in pairs:
-            for p in unary_names:
-                if (ta in a.unary[p]) != (tb in b.unary[p]):
+    def fits(pairs: frozenset[tuple[str, str]], x: str, y: str) -> bool:
+        """Does (x, y), one of pairs, agree on the atoms with all of them?"""
+        if any((x in pa) != (y in pb) for pa, pb in unary):
+            return False
+        for u, v in pairs:
+            if (x == u) != (y == v):
+                return False
+            for ra, rb in binary:
+                if ((x, u) in ra) != ((y, v) in rb) or ((u, x) in ra) != ((v, y) in rb):
                     return False
-            for ua, ub in pairs:
-                if (ta == ua) != (tb == ub):
-                    return False
-                for r in binary_names:
-                    if ((ta, ua) in a.binary[r]) != ((tb, ub) in b.binary[r]):
-                        return False
         return True
 
-    # A game position is just the set of chosen correspondences (with the
-    # constant correspondences mixed in); order and repetition are irrelevant
-    # to atomic agreement, which keeps the memo small for large round counts.
-    @lru_cache(maxsize=None)
-    def survive(pairs: frozenset[tuple[str, str]], k: int) -> bool:
-        if not atoms_agree(pairs):
+    # An item is a position and the correspondence last added; a position is
+    # the set of chosen correspondences, the constants' among them (order and
+    # repetition do not matter to the atoms), and the rounds left.
+    def survive(item):
+        pairs, k, added = item
+        if len(memo) >= MAX_POSITIONS:
+            raise StateSpaceExceededError(MAX_POSITIONS)
+        if not fits(pairs, *added):
             return False
         if k == 0:
             return True
-        for x in a.domain:
-            if not any(survive(pairs | {(x, y)}, k - 1) for y in b.domain):
-                return False
-        for y in b.domain:
-            if not any(survive(pairs | {(x, y)}, k - 1) for x in a.domain):
+        for replies in picks:
+            for pair in replies:
+                if (yield (pairs | {pair}, k - 1, pair)):
+                    break
+            else:
                 return False
         return True
 
     start = frozenset({(_sole_element(g), _sole_element(h))}) | frozenset(
         (a.consts[c], b.consts[c]) for c in sorted(a.consts)
     )
-    return survive(start, rounds)
+    if not all(fits(start, x, y) for x, y in start):
+        return False
+    memo: dict = {}
+    return _walk(survive, (start, rounds, next(iter(start))), memo, key=lambda item: item[:2])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import fields, make_dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import count
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from modalkit import fo
 from modalkit.configs import Config, Pair, PairSpace, close, step_memory
+from modalkit.equivalence import SimConditions
 from modalkit.errors import (
     OperatorNotInDialectError,
     UnassignedNominalError,
@@ -707,3 +708,105 @@ class RefSpace(PairSpace):
                     if not any(join(t, u) in related for u in replies):
                         return (name, rel, t)
         return None
+
+
+# ---------------------------------------------------------------------------
+# Reference condition sets
+
+# conditions_for as it listed each flag before it read the clause operators
+# from configs.CLAUSES and the memory updates from configs.MEMORY_UPDATES:
+# kept verbatim (but for its name) as the reference.
+
+
+def reference_conditions_for(spec: LogicSpec) -> SimConditions:
+    """The dialect's canonical condition set.
+
+    Negation forces symmetry (two-directional atomic agreement and the
+    back-type clauses); the box alone forces the back clause even without
+    negation, dually for the diamond and forth.
+    """
+    ops = spec.operators
+    neg = spec.has_negation
+    return SimConditions(
+        atomic_one_directional=not neg,
+        kagree="known" in ops,
+        remember="remember" in ops,
+        forget="forget" in ops,
+        erase="erase" in ops,
+        forth="diamond" in ops or (neg and "box" in ops),
+        back="box" in ops or (neg and "diamond" in ops),
+        mforth="ddiamond" in ops or (neg and "dbox" in ops),
+        mback="dbox" in ops or (neg and "ddiamond" in ops),
+        nagree="nominal" in ops,
+        nom="at" in ops,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference back-and-forth game
+
+# fo.back_and_forth as it was before it ran on the explicit-stack walk with
+# a position cap and a default of min(|a|, |b|) + 1 rounds: kept verbatim
+# (but for its name) as the reference for its verdicts.  It recurses once
+# per round.
+
+
+def reference_back_and_forth(
+    a: fo.FOStructure,
+    g: fo.XAssignment,
+    b: fo.FOStructure,
+    h: fo.XAssignment,
+    rounds: int | None = None,
+) -> bool:
+    """Can Duplicator survive ``rounds`` rounds of the back-and-forth game
+    between (a, g) and (b, h)?
+
+    True iff the two pointed structures agree on all first-order formulas of
+    quantifier rank <= rounds in one free variable.  The default round count
+    |a| * |b| is a heuristic cap that is always enough for structures this
+    size (the distinguishing rank of non-equivalent finite structures is
+    bounded well below it).
+    """
+    if set(a.unary) != set(b.unary) or set(a.binary) != set(b.binary) or set(a.consts) != set(
+        b.consts
+    ):
+        raise UnknownSymbolError("structures must share a vocabulary")
+    if rounds is None:
+        rounds = len(a.domain) * len(b.domain)
+    unary_names = tuple(sorted(a.unary))
+    binary_names = tuple(sorted(a.binary))
+
+    def atoms_agree(pairs: frozenset[tuple[str, str]]) -> bool:
+        for ta, tb in pairs:
+            for p in unary_names:
+                if (ta in a.unary[p]) != (tb in b.unary[p]):
+                    return False
+            for ua, ub in pairs:
+                if (ta == ua) != (tb == ub):
+                    return False
+                for r in binary_names:
+                    if ((ta, ua) in a.binary[r]) != ((tb, ub) in b.binary[r]):
+                        return False
+        return True
+
+    # A game position is just the set of chosen correspondences (with the
+    # constant correspondences mixed in); order and repetition are irrelevant
+    # to atomic agreement, which keeps the memo small for large round counts.
+    @lru_cache(maxsize=None)
+    def survive(pairs: frozenset[tuple[str, str]], k: int) -> bool:
+        if not atoms_agree(pairs):
+            return False
+        if k == 0:
+            return True
+        for x in a.domain:
+            if not any(survive(pairs | {(x, y)}, k - 1) for y in b.domain):
+                return False
+        for y in b.domain:
+            if not any(survive(pairs | {(x, y)}, k - 1) for x in a.domain):
+                return False
+        return True
+
+    start = frozenset({(fo._sole_element(g), fo._sole_element(h))}) | frozenset(
+        (a.consts[c], b.consts[c]) for c in sorted(a.consts)
+    )
+    return survive(start, rounds)

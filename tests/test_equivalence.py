@@ -8,12 +8,21 @@ the fixpoint returns as a witness must pass the defining conditions verbatim.
 """
 
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIG, RefSpace, chain_model, fixture_model, models, sig_for
+from conftest import (
+    SIG,
+    RefSpace,
+    chain_model,
+    fixture_model,
+    models,
+    reference_conditions_for,
+    sig_for,
+)
 from modalkit.configs import CLAUSES, initial_pair
 from modalkit.equivalence import (
     Config,
@@ -34,7 +43,7 @@ from modalkit.errors import (
 )
 from modalkit.kripke import KripkeModel
 from modalkit.semantics import check
-from modalkit.syntax import DIALECTS, modal_depth, print_formula
+from modalkit.syntax import DIALECTS, OPERATORS, LogicSpec, modal_depth, print_formula
 
 BML = DIALECTS["bml"]
 BML_MINUS = DIALECTS["bml-minus"]
@@ -74,6 +83,29 @@ CONDITION_TABLE = {
 @pytest.mark.parametrize("name", sorted(CONDITION_TABLE))
 def test_conditions_for(name):
     assert conditions_for(DIALECTS[name]) == SimConditions(**CONDITION_TABLE[name])
+
+
+def _every_spec() -> list[LogicSpec]:
+    """Every LogicSpec the constructor accepts: each operator subset, with
+    and without negation."""
+    specs = []
+    for n in range(len(OPERATORS) + 1):
+        for ops in combinations(sorted(OPERATORS), n):
+            for neg in (True, False):
+                try:
+                    specs.append(LogicSpec("any", frozenset(ops), neg))
+                except InvariantViolationError:
+                    pass
+    return specs
+
+
+def test_conditions_for_matches_the_reference_on_every_spec():
+    """The condition set read from configs.CLAUSES, MEMORY_UPDATES and the
+    dual table is the hand-listed one on every valid dialect."""
+    specs = _every_spec()
+    assert {spec.operators for spec in specs} >= {spec.operators for spec in DIALECTS.values()}
+    for spec in specs:
+        assert conditions_for(spec) == reference_conditions_for(spec), spec
 
 
 def test_directed_conditions():

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SIG_NOM, models, reference_back_and_forth
 from modalkit.errors import (
     InvariantViolationError,
+    StateSpaceExceededError,
     UnboundVariableError,
     UnknownSymbolError,
 )
 from modalkit.fo import (
+    MAX_POSITIONS,
     And,
     Bottom,
     Const,
@@ -40,6 +43,8 @@ from modalkit.fo import (
     fo_print,
     quantifier_rank,
 )
+from modalkit.syntax import Signature
+from modalkit.translate import translate_model
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +179,50 @@ def test_vocabulary_mismatch():
     plain = FOStructure(("a",), binary={"R": frozenset()})
     with pytest.raises(UnknownSymbolError):
         back_and_forth(S, {"x": "a"}, plain, {"x": "a"})
+
+
+def test_negative_rounds_are_rejected():
+    with pytest.raises(InvariantViolationError):
+        back_and_forth(S, {"x": "a"}, S, {"x": "a"}, rounds=-1)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_back_and_forth_matches_the_recursive_reference(data):
+    """The same verdict as the recursive search on translated pointed models
+    of 1-3 worlds, for 0-3 rounds, and for the default: min(|a|, |b|) + 1
+    rounds here, |a| * |b| in the reference.  The models carry the memory
+    predicate and a constant, or only the relation, where the verdict rests
+    on the edges alone."""
+    sig = data.draw(st.sampled_from([SIG_NOM, Signature(rels=("r",))]))
+    left = data.draw(models(sig=sig, max_worlds=3, allow_mem=sig is SIG_NOM))
+    right = data.draw(models(sig=sig, max_worlds=3, allow_mem=sig is SIG_NOM))
+    a, g = translate_model(left, data.draw(st.sampled_from(left.worlds)))
+    b, h = translate_model(right, data.draw(st.sampled_from(right.worlds)))
+    for rounds in (0, 1, 2, 3, None):
+        assert back_and_forth(a, g, b, h, rounds) == reference_back_and_forth(a, g, b, h, rounds)
+
+
+def _path(n: int, prefix: str) -> tuple[FOStructure, dict]:
+    """An n-element R-path, pointed at its first element."""
+    dom = tuple(f"{prefix}{i}" for i in range(n))
+    edges = frozenset(zip(dom, dom[1:]))
+    return FOStructure(dom, binary={"R": edges}), {"x": dom[0]}
+
+
+def test_back_and_forth_answers_a_short_path(low_recursion_limit):
+    assert back_and_forth(*_path(8, "a"), *_path(8, "b"))
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_back_and_forth_caps_its_positions(n, low_recursion_limit):
+    """Against itself, an n-element path takes the default n + 1 rounds past
+    ``MAX_POSITIONS`` positions: the search stops there, with no recursion.
+    The recursive search ran past 90 s at 14 elements and hit the recursion
+    limit at 20."""
+    with pytest.raises(StateSpaceExceededError) as info:
+        back_and_forth(*_path(n, "a"), *_path(n, "b"))
+    assert info.value.limit == MAX_POSITIONS
 
 
 # ---------------------------------------------------------------------------
