@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import InvariantViolationError
 from .kripke import KripkeModel
-from .syntax import At, Erase, Forget, Formula, Known, Nom, Prop, Remember
+from .syntax import At, Erase, Forget, Formula, Known, Nom, Prop, Remember, _values
 
 if TYPE_CHECKING:
     from .equivalence import SimConditions
@@ -228,9 +228,7 @@ class PairSpace:
         self.closures = closures(conds, self.noms)
         # the active modal clauses as (name, side, traced)
         self.clauses = tuple(
-            (name, side, traced)
-            for name, (side, traced, _) in CLAUSES.items()
-            if getattr(conds, name)
+            (name, side, traced) for name, (side, traced, _) in CLAUSES.items() if getattr(conds, name)
         )
         steps = sorted({traced for _, _, traced in self.clauses})
         self.ops: list[Op] = [("close", kind, nom) for kind, nom in self.closures] + [
@@ -262,11 +260,5 @@ class PairSpace:
         if found is None:
             return None
         atom, left = found
-        side = "left" if left else "right"
-        match atom:
-            case Prop(p):
-                return ("agree", p, side)
-            case Known():
-                return ("kagree", side)
-            case Nom(i):
-                return ("nagree", i, side)
+        kind = {Prop: "agree", Known: "kagree", Nom: "nagree"}[type(atom)]
+        return (kind, *_values(atom), "left" if left else "right")

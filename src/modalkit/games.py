@@ -43,7 +43,7 @@ from .configs import Config, PairSpace, initial_pair
 from .errors import IllegalMoveError, InvariantViolationError, StateSpaceExceededError
 from .equivalence import conditions_for
 from .kripke import KripkeModel
-from .syntax import LogicSpec, _walk
+from .syntax import _ATOMS, _PREFIX, DDiamond, Diamond, LogicSpec, Nom, _walk
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class SpoilerMove:
     traced: bool = False
 
     def render(self) -> str:
-        brackets = f"<<{self.rel}>>" if self.traced else f"<{self.rel}>"
+        brackets = _PREFIX[DDiamond if self.traced else Diamond].format(rel=self.rel)
         return f"spoiler {self.side} {brackets} -> {self.target}"
 
 
@@ -65,7 +65,7 @@ class ClosureMove:
 
     def render(self) -> str:
         if self.kind == "nom":
-            return f"spoiler jump '{self.nominal}"
+            return f"spoiler jump {_ATOMS[Nom].format(name=self.nominal)}"
         return f"spoiler {self.kind}"
 
 
@@ -339,21 +339,14 @@ def format_transcript(game: Game, state: GameState, moves: Sequence[Move]) -> st
     Duplicator's reply on the same line; ends with the result line."""
     states = game.replay(state, moves)
     lines = []
-    ply = 0
-    i = 0
-    while i < len(moves):
-        move = moves[i]
-        ply += 1
+    for i, move in enumerate(moves):
+        if isinstance(move, DuplicatorMove) and i and isinstance(moves[i - 1], SpoilerMove):
+            continue  # on its Spoiler move's line
+        text = move.render()
         if isinstance(move, SpoilerMove):
-            if i + 1 < len(moves) and isinstance(moves[i + 1], DuplicatorMove):
-                lines.append(f"{ply}. {move.render()} | {moves[i + 1].render()}")
-                i += 2
-            else:
-                lines.append(f"{ply}. {move.render()} | (no reply)")
-                i += 1
-        else:
-            lines.append(f"{ply}. {move.render()}")
-            i += 1
+            reply = moves[i + 1] if i + 1 < len(moves) else None
+            text += f" | {reply.render()}" if isinstance(reply, DuplicatorMove) else " | (no reply)"
+        lines.append(f"{len(lines) + 1}. {text}")
     outcome = game.winner_at(states[-1])
     lines.append(f"result: {outcome if outcome else 'undecided'}")
     return "\n".join(lines)
