@@ -112,6 +112,7 @@ class Game:
         self.conds = conditions_for(spec)
         space = self._space = PairSpace(self.conds, left, right)
         self._tables = space.config_tables()
+        self._closes = space.ops[: len(space.closures)]  # the closure updates come first
         # (rel, side, traced, op, mover's table index), in legal_moves order
         self._slots = [
             (rel, side, traced, ("step", rel, traced), side == "right")
@@ -147,7 +148,7 @@ class Game:
         if pos[2] >= 0:
             o = not self._slots[pos[2]][4]  # the replying side
             return DuplicatorMove(self._tables[o].configs[nxt[o]].world)
-        if k < len(self._space.closures):
+        if k < len(self._closes):
             return ClosureMove(*self._space.closures[k])
         return self._spoiler_move(nxt[2], nxt[3])
 
@@ -162,7 +163,7 @@ class Game:
             rounds = None if rounds is None else rounds - 1
             out = [
                 (t1.targets(op, a)[0], t2.targets(op, b)[0], -1, -1, rounds)
-                for op in self._space.ops[: len(self._space.closures)]
+                for op in self._closes
             ]
             for k, (_, _, _, op, m) in enumerate(self._slots):
                 out.extend([(a, b, k, y, rounds) for y in tables[m].targets(op, pos[m])])
