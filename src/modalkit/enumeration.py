@@ -24,10 +24,10 @@ Two engines share the context:
   modal depth, within a depth stratum ordered by node count and rendered
   text, each yielded formula having a meaning not seen before.  A formula
   is built only when its meaning is new, and is printed over its printed
-  operand in one step.  The stream is
-  conjunction-free; it is a sound basis for theory comparison (related
-  points agree on all of it) and a practical basis for small-definition
-  synthesis, but it does not enumerate every boolean combination.
+  operand in one step.  The stream is conjunction-free; it is a sound basis
+  for theory comparison (related points agree on all of it) and a practical
+  basis for small-definition synthesis, but it does not enumerate every
+  boolean combination.
 
 - ``JointPartition`` refines the configuration space into meaning classes
   wave by wave (one wave per unit of modal depth) and is *complete* for
@@ -43,16 +43,18 @@ Two engines share the context:
   formula that separates them (the split-history construction of Cleaveland,
   CAV 1990).
 
-``separating_formula`` and ``equivalent_up_to`` route to the partition for
-dialects with memory or jump operators and to the relational fixpoint (whose
-deletion rounds count exactly modal depth when no such operators exist) for
-the rest.
+``separating_formula`` and ``equivalent_up_to`` route dialects without
+memory or jump operators to the relational fixpoint (whose deletion rounds
+count exactly modal depth there) and the rest to the partition, stopped at
+the split that parts the two points: a ``max_tests`` budget that only a
+later split would exceed raises no ``BudgetExceededError``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from contextlib import suppress
 from functools import partial
 from itertools import accumulate, combinations
 from typing import Callable
@@ -103,10 +105,40 @@ MAX_CONFIGS = 2**20
 
 
 def _mem_subsets(worlds: tuple[str, ...]) -> list[frozenset[str]]:
-    out = [frozenset()]
-    for k in range(1, len(worlds) + 1):
-        out.extend(frozenset(c) for c in combinations(worlds, k))
+    return [frozenset(c) for k in range(len(worlds) + 1) for c in combinations(worlds, k)]
+
+
+def _pre(nibbles: dict, tables: list[ConfigTable], offsets: list[int], op: Op, m: int) -> int:
+    """The configurations that op moves into m: the meaning of op's diamond
+    or closure operator applied to a formula meaning m, read a byte of m at
+    a time from the byte's low and high nibble tables, kept in nibbles."""
+    tabs = nibbles.get(op)
+    if tabs is None:
+        tabs = nibbles[op] = _nibble_tables(tables, offsets, op)
+    out = 0
+    for b, low, high in zip(m.to_bytes((m.bit_length() + 7) >> 3, "little"), *tabs):
+        if b:
+            out |= low[b & 15] | high[b >> 4]
     return out
+
+
+def _nibble_tables(tables: list[ConfigTable], offsets: list[int], op: Op):
+    """op's predecessor rows, padded to whole bytes and folded four at a
+    time into 16-entry tables (entry x: the union of the rows at x's bits);
+    the tables of each byte's low nibbles, then of its high."""
+    rows = [0] * (-(-offsets[-1] // 8) * 8)
+    for config_table, off in zip(tables, offsets):
+        for c in range(len(config_table.configs)):
+            for d in config_table.move(op, c):
+                rows[off + d] |= 1 << (off + c)
+    nibs = []
+    for j in range(0, len(rows), 4):
+        nib = [0] * 16
+        for x in range(1, 16):
+            low = x & -x
+            nib[x] = nib[x ^ low] | rows[j + low.bit_length() - 1]
+        nibs.append(nib)
+    return nibs[::2], nibs[1::2]
 
 
 class EvalContext:
@@ -123,7 +155,8 @@ class EvalContext:
     then the nominals, as the dialect allows; ``updates`` lists (formula
     builder, mask transform) for negation, then the closure updates in
     ``configs.closures`` order.  ``pre`` is the one preimage routine behind
-    every operator, keyed by ``configs.Op``, reading its nibble tables.
+    every operator, keyed by ``configs.Op``, reading its nibble tables; no
+    transform refers back to the context, which frees it without a cycle.
     """
 
     def __init__(self, spec: LogicSpec, models: list[KripkeModel] | tuple[KripkeModel, ...]):
@@ -140,7 +173,7 @@ class EvalContext:
             (2 ** len(m.worlds) if self.memory_table else 1) * len(m.worlds) for m in self.models
         )
         if size > MAX_CONFIGS:
-            raise StateSpaceExceededError(MAX_CONFIGS)
+            raise StateSpaceExceededError(MAX_CONFIGS, "configuration space")
         atoms = (*map(Prop, self.props), Known(), *map(Nom, self.noms))
         self.tables = [ConfigTable(m, atoms) for m in self.models]
         for m, table in zip(self.models, self.tables):
@@ -152,6 +185,7 @@ class EvalContext:
             (k, c.mem, c.world) for k, table in enumerate(self.tables) for c in table.configs
         ]
         self.full = (1 << len(self.configs)) - 1
+        self.pre = partial(_pre, {}, self.tables, self.offsets)
 
         # signature bit j -> the mask of the configurations that have it
         masks = [0] * len(atoms)
@@ -168,14 +202,11 @@ class EvalContext:
         self.atoms: list[tuple[Formula, int]] = [
             (atom, mask) for atom, mask in zip(atoms, masks) if allowed[type(atom)]
         ]
-        self.updates: list[tuple[Callable[[Formula], Formula], Callable[[int], int]]] = []
-        if spec.has_negation:
-            self.updates.append((Not, self.not_t))
-        for kind, nom in closures(conds, self.noms):
-            self.updates.append(
-                (partial(closure_formula, kind, nom), partial(self.pre, ("close", kind, nom)))
-            )
-        self._pre_tables: dict[Op, tuple[list[list[int]], list[list[int]]]] = {}
+        negation = [(Not, self.full.__xor__)] if spec.has_negation else []
+        self.updates: list[tuple[Callable[[Formula], Formula], Callable[[int], int]]] = negation + [
+            (partial(closure_formula, kind, nom), partial(self.pre, ("close", kind, nom)))
+            for kind, nom in closures(conds, self.noms)
+        ]
 
     def bit_of(self, model_index: int, mem: frozenset[str], world: str) -> int:
         return self.offsets[model_index] + self.tables[model_index].ids[(frozenset(mem), world)]
@@ -186,47 +217,13 @@ class EvalContext:
 
     # -- mask transforms ------------------------------------------------------
 
-    def pre(self, op: Op, m: int) -> int:
-        """The configurations that op moves into m: the meaning of op's
-        diamond or closure operator applied to a formula meaning m, read a
-        byte of m at a time from the byte's low and high nibble tables."""
-        nibbles = self._pre_tables.get(op)
-        if nibbles is None:
-            nibbles = self._pre_tables[op] = self._nibble_tables(op)
-        out = 0
-        for b, low, high in zip(m.to_bytes((m.bit_length() + 7) >> 3, "little"), *nibbles):
-            if b:
-                out |= low[b & 15] | high[b >> 4]
-        return out
-
-    def _nibble_tables(self, op: Op) -> tuple[list[list[int]], list[list[int]]]:
-        """op's predecessor rows, padded to whole bytes and folded four at a
-        time into 16-entry tables (entry x: the union of the rows at x's
-        bits); the tables of each byte's low nibbles, then of its high."""
-        rows = [0] * (-(-len(self.configs) // 8) * 8)
-        for config_table, off in zip(self.tables, self.offsets):
-            for c in range(len(config_table.configs)):
-                for d in config_table.move(op, c):
-                    rows[off + d] |= 1 << (off + c)
-        tables = []
-        for j in range(0, len(rows), 4):
-            nib = [0] * 16
-            for x in range(1, 16):
-                low = x & -x
-                nib[x] = nib[x ^ low] | rows[j + low.bit_length() - 1]
-            tables.append(nib)
-        return tables[::2], tables[1::2]
-
-    def not_t(self, m: int) -> int:
-        return self.full & ~m
-
     def modal_t(self, operator: str, rel: str, m: int) -> int:
         """The meaning of operator (diamond, box, ddiamond, dbox) along rel
         applied to a formula meaning m: a step along rel, traced for the
         double modalities; the boxes are the dual diamonds."""
         op = ("step", rel, self._checked(operator) in ("ddiamond", "dbox"))
         if operator in ("box", "dbox"):
-            return self.not_t(self.pre(op, self.not_t(m)))
+            return self.full ^ self.pre(op, self.full ^ m)
         return self.pre(op, m)
 
     # -- full evaluator --------------------------------------------------------
@@ -252,15 +249,15 @@ class EvalContext:
             case Known():
                 return self.known_mask
             case Not(sub):
-                return self.not_t((yield sub))
+                return self.full ^ (yield sub)
             case And(a, b):
                 return (yield a) & (yield b)
             case Or(a, b):
                 return (yield a) | (yield b)
             case Implies(a, b):
-                return self.not_t((yield a)) | (yield b)
+                return self.full ^ (yield a) | (yield b)
             case Iff(a, b):
-                return self.not_t((yield a) ^ (yield b))
+                return self.full ^ (yield a) ^ (yield b)
             case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
                 return self.modal_t(type(phi).__name__.lower(), rel, (yield sub))
             case Remember(sub) | Forget(sub) | Erase(sub):
@@ -502,6 +499,32 @@ class JointPartition:
         return next((a for a, b in zip(mine, theirs) if a is not b), None)
 
 
+class _Parted(Exception):
+    """The two points of a ``_PointPartition`` have parted."""
+
+
+class _PointPartition(JointPartition):
+    """Two models' partition, stopped at the split that parts (left, w) and
+    (right, v).  Later splits would only extend both paths, so ``separator``
+    is the full partition's ``separator_between`` of the two start bits."""
+
+    def __init__(self, spec, left, w, right, v, **bounds):
+        self.points, self.separator = (w, v), None
+        super().__init__(spec, [left, right], **bounds)
+
+    def _run(self, max_depth: int | None, max_tests: int) -> None:
+        self.bits = [self.ctx.start_bit(k, point) for k, point in enumerate(self.points)]
+        with suppress(_Parted):
+            super()._run(max_depth, max_tests)
+
+    def _apply(self, phi: Formula, mask: int) -> bool:
+        b0, b1 = self.bits
+        if ((mask >> b0) ^ (mask >> b1)) & 1:
+            self.separator = phi if (mask >> b0) & 1 else Not(phi)
+            raise _Parted
+        return super()._apply(phi, mask)
+
+
 # ---------------------------------------------------------------------------
 # Dialect-routed entry points
 
@@ -533,8 +556,7 @@ def separating_formula(
         raise UnsupportedFeaturesError(
             "bounded search for memory or jump dialects needs negation in the dialect"
         )
-    part = JointPartition(spec, [left, right], max_depth=depth, max_tests=max_tests)
-    return part.separator_between(part.ctx.start_bit(0, w), part.ctx.start_bit(1, v))
+    return _PointPartition(spec, left, w, right, v, max_depth=depth, max_tests=max_tests).separator
 
 
 def equivalent_up_to(

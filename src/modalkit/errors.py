@@ -93,11 +93,11 @@ class ShapeMismatchError(ModalkitError):
 
 
 class StateSpaceExceededError(ModalkitError):
-    """The equivalence engine would materialize more configuration pairs than allowed."""
+    """A search would materialize more states than allowed; the message names them."""
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, space: str = "configuration pair space"):
         self.limit = limit
-        super().__init__(f"configuration pair space exceeds the limit of {limit}")
+        super().__init__(f"{space} exceeds the limit of {limit}")
 
 
 class BudgetExceededError(ModalkitError):

@@ -339,7 +339,7 @@ def back_and_forth(
     def survive(item):
         pairs, k, added = item
         if len(memo) >= MAX_POSITIONS:
-            raise StateSpaceExceededError(MAX_POSITIONS)
+            raise StateSpaceExceededError(MAX_POSITIONS, "game position space")
         if not fits(pairs, *added):
             return False
         if k == 0:

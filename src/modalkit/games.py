@@ -231,7 +231,7 @@ class Game:
                 j = ids.get(t)
                 if j is None:
                     if len(keys) >= max_positions:
-                        raise StateSpaceExceededError(max_positions)
+                        raise StateSpaceExceededError(max_positions, "game position space")
                     j = ids[t] = len(keys)
                     keys.append(t)
                     stack.append(j)
@@ -274,7 +274,7 @@ class Game:
         def val(s: tuple):
             """The search at s: it yields each successor for its value."""
             if len(value) >= max_positions:
-                raise StateSpaceExceededError(max_positions)
+                raise StateSpaceExceededError(max_positions, "game position space")
             res, nxt = self._visit(s)
             if res is None:
                 turn, res = _TURN[s[2] >= 0], _TURN[s[2] < 0]

@@ -26,7 +26,7 @@ parser: every formula walker runs on ``_walk``'s explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache, wraps
 
 from .errors import (
@@ -173,9 +173,15 @@ def get_dialect(name: str) -> LogicSpec:
 class _Node:
     """Base of the modal and first-order formula nodes.  ``==``, ``hash`` and
     ``repr`` give what the dataclass-generated methods give, on an explicit
-    stack, so a formula of any depth compares, hashes and prints.  A node
-    keeps its hash in its ``__dict__``, beside its printed text, and
-    pickles without them: a string's hash differs between processes."""
+    stack, so a formula of any depth compares, hashes and prints; a node is
+    frozen.  It keeps its hash in its ``__dict__``, beside its printed text,
+    and pickles without them: a string's hash differs between processes."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -222,8 +228,20 @@ def _repr_pieces(phi):
     return [f"{type(phi).__qualname__}(", *pieces[1:], ")"]
 
 
-# A formula node class: frozen, with _Node's ==, hash and repr.
-_frozen = dataclass(frozen=True, eq=False, repr=False)
+def _frozen(cls):
+    """A formula node class: a dataclass with _Node's methods and the shared
+    ``__init__`` of its field names and types."""
+    cls.__init__ = _init(tuple(cls.__dict__.get("__annotations__", {}).items()))
+    return dataclass(init=False, eq=False, repr=False)(cls)
+
+
+@cache
+def _init(typed: tuple[tuple[str, str], ...]):
+    """The ``__init__`` of the node classes with these typed fields, made once."""
+    params = "".join(f", {name}: {kind}" for name, kind in typed)
+    body = "".join(f"\n _set(self, {name!r}, {name})" for name, _ in typed)
+    exec(f"def __init__(self{params}):{body}\n pass", scope := {"_set": object.__setattr__})
+    return scope["__init__"]
 
 
 @_frozen

@@ -520,15 +520,15 @@ def reference_meaning(self, phi: Formula) -> int:
         case Known():
             return self.known_mask
         case Not(sub):
-            return self.not_t(reference_meaning(self, sub))
+            return self.full & ~reference_meaning(self, sub)
         case And(a, b):
             return reference_meaning(self, a) & reference_meaning(self, b)
         case Or(a, b):
             return reference_meaning(self, a) | reference_meaning(self, b)
         case Implies(a, b):
-            return self.not_t(reference_meaning(self, a)) | reference_meaning(self, b)
+            return self.full & ~reference_meaning(self, a) | reference_meaning(self, b)
         case Iff(a, b):
-            return self.not_t(reference_meaning(self, a) ^ reference_meaning(self, b))
+            return self.full & ~(reference_meaning(self, a) ^ reference_meaning(self, b))
         case Diamond(rel, sub) | Box(rel, sub) | DDiamond(rel, sub) | DBox(rel, sub):
             return self.modal_t(type(phi).__name__.lower(), rel, reference_meaning(self, sub))
         case Remember(sub) | Forget(sub) | Erase(sub):

@@ -10,8 +10,10 @@ connectives, so theory agreement on it is necessary but not sufficient for
 bounded equivalence.
 """
 
+import gc
 import heapq
 import time
+import weakref
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -40,7 +42,7 @@ from modalkit.enumeration import (
     separating_formula,
     stream_with_meanings,
 )
-from modalkit.equivalence import bisimilar, bml_partition_refinement
+from modalkit.equivalence import bisimilar, bml_partition_refinement, conditions_for
 from modalkit.errors import (
     BudgetExceededError,
     InvariantViolationError,
@@ -149,6 +151,40 @@ def test_context_capped(monkeypatch):
     model, _ = fixture_model("two_cycle.km")  # 4 subsets x 2 worlds = 8 configs
     with pytest.raises(StateSpaceExceededError):
         EvalContext(ML, [model])
+
+
+def test_context_cap_names_configurations(monkeypatch):
+    monkeypatch.setattr(enumeration, "MAX_CONFIGS", 7)
+    model, _ = fixture_model("two_cycle.km")
+    with pytest.raises(StateSpaceExceededError) as info:
+        EvalContext(ML, [model])
+    assert str(info.value) == "configuration space exceeds the limit of 7"
+    assert info.value.limit == 7
+
+
+def test_contexts_and_partitions_are_freed_without_the_cycle_collector():
+    """No context, full partition or stopped early-stop partition is kept
+    alive by a reference cycle, a traceback's included: each dies on del
+    with the cycle collector off."""
+    cyc, b = fixture_model("two_cycle.km")
+    refl, a = fixture_model("reflexive.km")
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = EvalContext(ML, [cyc, refl])
+        ctx.meaning(Remember(Diamond("r", Not(Prop("p")))))
+        for _, transform in ctx.updates:
+            transform(1)
+        refs = [weakref.ref(ctx)]
+        del ctx
+        full = JointPartition(ML, [cyc, refl])
+        stopped = enumeration._PointPartition(ML, cyc, b, refl, a, max_depth=4, max_tests=500_000)
+        assert stopped.separator is not None
+        refs += [weakref.ref(full), weakref.ref(full.ctx), weakref.ref(stopped), weakref.ref(stopped.ctx)]
+        del full, stopped
+        assert [ref() for ref in refs] == [None] * 5
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=60)
@@ -612,6 +648,55 @@ def test_separating_formula_memory_dialect():
     assert modal_depth(phi) <= 4
     assert check(cyc, b, phi)
     assert not check(refl, a, phi)
+
+
+# The dialects whose separators the meaning partition finds.
+PARTITION_DIALECTS = sorted(
+    name
+    for name, spec in DIALECTS.items()
+    if spec.has_negation and (conditions_for(spec).memory_active or conditions_for(spec).nom)
+)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(PARTITION_DIALECTS), st.integers(0, 3), st.data())
+def test_separating_formula_matches_the_full_partition(dialect, depth, data):
+    """Stopping at the split that parts the two points gives the separator
+    the fully built partition gives, for every pair of points."""
+    spec = DIALECTS[dialect]
+    left = data.draw(models(sig=sig_for(spec), max_worlds=3, allow_mem=True))
+    right = data.draw(models(sig=sig_for(spec), max_worlds=3, allow_mem=True))
+    part = JointPartition(spec, [left, right], max_depth=depth)
+    for w in left.worlds:
+        for v in right.worlds:
+            expected = part.separator_between(part.ctx.start_bit(0, w), part.ctx.start_bit(1, v))
+            assert separating_formula(spec, left, w, right, v, depth=depth) == expected
+
+
+def test_separating_formula_answers_within_the_budget_of_the_parting_split():
+    """The seventh distinct mask parts the two points.  The full partition
+    goes on and exceeds a budget of 7; the search stops at the separator."""
+    cyc, b = fixture_model("two_cycle.km")
+    refl, a = fixture_model("reflexive.km")
+    with pytest.raises(BudgetExceededError):
+        JointPartition(ML, [cyc, refl], max_depth=4, max_tests=7)
+    with pytest.raises(BudgetExceededError):
+        separating_formula(ML, cyc, b, refl, a, depth=4, max_tests=6)
+    phi = separating_formula(ML, cyc, b, refl, a, depth=4, max_tests=7)
+    assert print_formula(phi) == "rem <r>~known"
+    assert print_formula(separating_formula(ML, refl, a, cyc, b, depth=4, max_tests=7)) == "~rem <r>~known"
+
+
+def test_separating_formula_builds_one_context(monkeypatch):
+    built = []
+    init = EvalContext.__init__
+    monkeypatch.setattr(EvalContext, "__init__", lambda self, *args: built.append(init(self, *args)))
+    cyc, b = fixture_model("two_cycle.km")
+    refl, a = fixture_model("reflexive.km")
+    assert separating_formula(ML, cyc, b, refl, a, depth=4) is not None
+    assert len(built) == 1
+    assert separating_formula(ML, refl, a, refl, a, depth=4) is None
+    assert len(built) == 2
 
 
 def test_separating_formula_none_for_isomorphic():

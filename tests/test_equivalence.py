@@ -290,6 +290,15 @@ def test_pair_space_caps():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("dialect", ["bml", "ml-diamond"], ids=["world grid", "memory walk"])
+def test_pair_space_cap_keeps_its_message(dialect):
+    refl, a = fixture_model("reflexive.km")
+    cyc, b = fixture_model("two_cycle.km")
+    with pytest.raises(StateSpaceExceededError) as info:
+        bisimilar(DIALECTS[dialect], refl, a, cyc, b, max_pairs=1, distinguisher_depth=0)
+    assert str(info.value) == "configuration pair space exceeds the limit of 1"
+
+
 # ---------------------------------------------------------------------------
 # verify_relation as a standalone checker
 

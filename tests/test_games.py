@@ -376,6 +376,15 @@ def test_position_caps():
         solve_game(BML, two, w0, three, v0, rounds=3, max_positions=2)
 
 
+@pytest.mark.parametrize("rounds", [None, 3], ids=["unbounded", "bounded"])
+def test_position_cap_names_game_positions(rounds):
+    two, w0 = fixture_model("fork_two.km")
+    three, v0 = fixture_model("fork_three.km")
+    with pytest.raises(StateSpaceExceededError) as info:
+        solve_game(BML, two, w0, three, v0, rounds=rounds, max_positions=2)
+    assert str(info.value) == "game position space exceeds the limit of 2"
+
+
 # ---------------------------------------------------------------------------
 # Scripted play
 

@@ -1,7 +1,8 @@
 """Parser, printer, dialect table, and the small formula utilities."""
 
+import inspect
 import pickle
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from functools import partial
 
 import pytest
@@ -20,7 +21,7 @@ from conftest import (
     reference_random_formula,
     sig_for,
 )
-from modalkit import syntax
+from modalkit import fo, syntax
 from modalkit.fo import quantifier_rank
 from modalkit.kripke import SplitMix64
 from modalkit.suite import _sig_for, random_formula
@@ -437,3 +438,66 @@ def test_node_methods_match_the_dataclass_ones(phi, psi):
     print_formula(phi)
     clone = pickle.loads(pickle.dumps(phi))
     assert clone == phi and "_hash" not in vars(clone) and "_text" not in vars(clone)
+
+
+# ---------------------------------------------------------------------------
+# The node contract
+
+# Every formula node class with its fields as ``dataclasses.fields`` lists
+# them: (name, annotation) pairs.
+_SUB, _FO_SUB = ("sub", "Formula"), ("sub", "FOFormula")
+_BINARY = (("left", "Formula"), ("right", "Formula"))
+_FO_BINARY = (("left", "FOFormula"), ("right", "FOFormula"))
+NODE_FIELDS = {
+    **dict.fromkeys([Formula, Top, Bottom, Known], ()),
+    Prop: (("name", "str"),),
+    Nom: (("name", "str"),),
+    **dict.fromkeys([Not, Remember, Forget, Erase], (_SUB,)),
+    **dict.fromkeys([And, Or, Implies, Iff], _BINARY),
+    **dict.fromkeys([Diamond, Box, DDiamond, DBox], (("rel", "str"), _SUB)),
+    At: (("nom", "str"), _SUB),
+    **dict.fromkeys([fo.FOFormula, fo.Top, fo.Bottom], ()),
+    fo.Pred: (("name", "str"), ("arg", "Term")),
+    fo.Rel: (("name", "str"), ("left", "Term"), ("right", "Term")),
+    fo.Eq: (("left", "Term"), ("right", "Term")),
+    fo.Not: (_FO_SUB,),
+    **dict.fromkeys([fo.And, fo.Or, fo.Implies, fo.Iff], _FO_BINARY),
+    **dict.fromkeys([fo.Exists, fo.Forall], (("var", "str"), _FO_SUB)),
+}
+_SAMPLE = {"str": "x", "Formula": Prop("p"), "FOFormula": fo.Top(), "Term": fo.Var("y")}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_node_fields_cover_every_node_class():
+    assert set(_subclasses(syntax._Node)) == set(NODE_FIELDS)
+
+
+@pytest.mark.parametrize("cls", NODE_FIELDS, ids=lambda cls: f"{cls.__module__[9:]}.{cls.__name__}")
+def test_nodes_keep_the_frozen_dataclass_contract(cls):
+    """A node class is a dataclass with its fields and their signature; a
+    node takes exactly its fields, by position or name, refuses assignment
+    and deletion as a frozen dataclass does, and pickles to an equal node."""
+    assert is_dataclass(cls)
+    assert tuple((f.name, f.type) for f in fields(cls)) == NODE_FIELDS[cls]
+    typed = ", ".join(f"{name}: {kind!r}" for name, kind in NODE_FIELDS[cls])
+    assert str(inspect.signature(cls)).replace(" -> None", "") == f"({typed})"
+    values = {name: _SAMPLE[kind] for name, kind in NODE_FIELDS[cls]}
+    node = cls(*values.values())
+    assert cls(**values) == node and tuple(map(node.__getattribute__, values)) == tuple(values.values())
+    for name in (*values, "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(node, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(node, name)
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    if values:
+        with pytest.raises(TypeError):
+            cls(*list(values.values())[1:])
+    clone = pickle.loads(pickle.dumps(node))
+    assert type(clone) is cls and clone == node and fields(clone) == fields(node)
