@@ -508,7 +508,7 @@ class _PointPartition(JointPartition):
     (right, v).  Later splits would only extend both paths, so ``separator``
     is the full partition's ``separator_between`` of the two start bits."""
 
-    def __init__(self, spec, left, w, right, v, **bounds):
+    def __init__(self, spec: LogicSpec, left: KripkeModel, w: str, right: KripkeModel, v: str, **bounds):
         self.points, self.separator = (w, v), None
         super().__init__(spec, [left, right], **bounds)
 
