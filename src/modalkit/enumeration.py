@@ -60,7 +60,7 @@ from itertools import accumulate, combinations
 from typing import Callable
 
 from .configs import ConfigTable, Op, closure_formula, closures, vocabulary
-from .equivalence import conditions_for, fixpoint_separator
+from .equivalence import DEFAULT_MAX_PAIRS, conditions_for, fixpoint_separator
 from .errors import (
     BudgetExceededError,
     InvariantViolationError,
@@ -551,7 +551,7 @@ def separating_formula(
     right.require_world(v)
     conds = conditions_for(spec)
     if not (conds.memory_active or conds.nom):
-        return fixpoint_separator(spec, left, w, right, v, depth, MAX_CONFIGS)
+        return fixpoint_separator(spec, left, w, right, v, depth, DEFAULT_MAX_PAIRS)
     if not spec.has_negation:
         raise UnsupportedFeaturesError(
             "bounded search for memory or jump dialects needs negation in the dialect"

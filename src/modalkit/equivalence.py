@@ -18,16 +18,22 @@ other conditions are active:
                  update of both sides;
   - nom        : closure under jumping both sides to a nominal's worlds.
 
-The engine starts from every materialized pair satisfying the static
+The pair engine starts from every materialized pair satisfying the static
 conditions and deletes violating pairs in rounds until stable; the survivors
 are the largest relation closed under the conditions, so the returned
-witness contains every valid hand-built relation over the same space.  For
-memory dialects the configuration space is materialized lazily from the
-initial pair's closure (with a hard cap); for the others the full
-world-pair space is used.
+witness contains every valid hand-built relation over the same space.  It
+serves directed conditions and memory dialects, whose configuration space
+is materialized lazily from the initial pair's closure (with a hard cap).
+Symmetric conditions that move no memory are decided without pairs, by
+refining the blocks of the disjoint union of the two models' worlds; two
+worlds share a round-r block exactly when their pair survives r rounds, so
+the two engines give the same verdicts, death rounds, reasons and
+witnesses (Kanellakis & Smolka, Inf. & Comp. 86(1) 1990; Paige & Tarjan,
+SIAM J. Comput. 16(6) 1987).  Its witness, the union of the block products,
+has up to |W1|·|W2| pairs, so ``max_pairs`` bounds that product.
 
-The engine runs on integers.  Each model's configurations are interned in a
-``configs.ConfigTable``, and a pair of ids is the one int
+The pair engine runs on integers.  Each model's configurations are
+interned in a ``configs.ConfigTable``, and a pair of ids is the one int
 ``p = c1 * K + c2``, K bounding the right table's size.  A pair passes the
 static check when ``PairSpace.disagreement`` of its two signature ints is 0
 (``sig1 == sig2``, or ``sig1 & ~sig2 == 0`` when atomic agreement is
@@ -45,7 +51,9 @@ tables' moves by id; configurations are rebuilt only for the witness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .configs import (
     CLAUSES,
@@ -266,11 +274,141 @@ class _Engine(PairSpace):
         return frozenset((t1.configs[p // K], t2.configs[p % K]) for p in self.alive)
 
 
+class _Blocks(PairSpace):
+    """Block refinement of W1 ⊎ W2 for symmetric conditions that move no
+    memory.  State s < n1 is left configuration s, state n1 + c right
+    configuration c.  Round 0 groups the states by signature; round r
+    re-keys the states whose closure image or step successor changed block
+    in round r - 1, a key being the set of round r - 1 blocks each operator
+    leads to, and splits a block by key.  A block keeps its id unless it
+    splits, and then the part of its unchanged states (else its largest
+    part) keeps it, so that only moved states make their predecessors
+    dirty.  Two states share a round-r block exactly when their pair
+    survives r synchronous rounds of the fixpoint, so a pair's death round
+    is found by binary search over each state's (round, block) history and
+    its reason is recomputed against round r - 1 in ``violation``'s clause
+    order.  The engine is its own ``dead`` mapping of pair ids, so that
+    ``_distinguisher`` reads it as it reads ``_Engine``'s."""
+
+    def __init__(self, conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
+        super().__init__(conds, left, right)
+        if len(left.worlds) * len(right.worlds) > max_pairs:  # the witness can be that large
+            raise StateSpaceExceededError(max_pairs)
+        self.tables = self.config_tables()
+        self.n1, self.K = len(left.worlds), len(right.worlds)
+        self.keyed = 0  # key computations, over all rounds
+
+    dead = property(lambda self: self)
+
+    def run(self, initial: Pair) -> int:
+        (t1, t2), n1, ops = self.tables, self.n1, self.ops
+        c1, c2 = initial
+        for a in self.left.worlds:
+            t1.intern(c1.mem, a)
+        for b in self.right.worlds:
+            t2.intern(c2.mem, b)
+        # per state, its targets under each op, right states offset by n1
+        succ = [[t1.targets(op, c) for op in ops] for c in range(n1)]
+        succ += [[[n1 + d for d in t2.targets(op, c)] for op in ops] for c in range(self.K)]
+        pre: list[list[int]] = [[] for _ in succ]
+        for s, row in enumerate(succ):
+            for targets in row:
+                for t in targets:
+                    pre[t].append(s)
+        numbers: dict[int, int] = {}
+        block = [numbers.setdefault(sig, len(numbers)) for sig in t1.sig + t2.sig]
+        self.first, self.history = block[:], {}  # the round-0 blocks; state -> its moves
+        size = [0] * len(numbers)
+        for b in block:
+            size[b] += 1
+        keys: list[tuple | None] = [None] * len(numbers)
+        block_of = block.__getitem__
+        dirty, rnd = range(len(succ)), 0
+        while dirty:
+            rnd += 1
+            self.keyed += len(dirty)
+            split: dict[int, dict[tuple, list[int]]] = {}
+            for s in dirty:
+                key = tuple([frozenset(map(block_of, targets)) for targets in succ[s]])
+                split.setdefault(block[s], {}).setdefault(key, []).append(s)
+            moved = []
+            for b, parts in split.items():
+                if size[b] > sum(map(len, parts.values())):
+                    stay = keys[b]  # the key of the states not re-keyed
+                elif len(parts) == 1:
+                    stay = keys[b] = next(iter(parts))
+                else:
+                    stay = keys[b] = max(parts, key=lambda k: len(parts[k]))
+                parts.pop(stay, None)
+                for key, part in parts.items():
+                    new = len(keys)
+                    keys.append(key)
+                    size.append(len(part))
+                    size[b] -= len(part)
+                    for s in part:
+                        block[s] = new
+                        self.history.setdefault(s, []).append((rnd, new))
+                    moved += part
+            dirty = {p for s in moved for p in pre[s]}
+        self.block, self.rounds = block, rnd
+        return t1.intern(c1.mem, c1.world) * self.K + t2.intern(c2.mem, c2.world)
+
+    def _block_at(self, s: int, rnd: int) -> int:
+        history = self.history.get(s, ())
+        i = bisect_right(history, rnd, key=itemgetter(0))
+        return history[i - 1][1] if i else self.first[s]
+
+    def __contains__(self, p: int) -> bool:
+        c1, c2 = divmod(p, self.K)
+        return self.block[c1] != self.block[self.n1 + c2]
+
+    def __getitem__(self, p: int) -> tuple[int, tuple | None]:
+        """(death round, reason) of a pair id that is not related."""
+        if p not in self:
+            raise KeyError(p)
+        c1, c2 = divmod(p, self.K)
+        lo, hi = 0, self.rounds
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._block_at(c1, mid) == self._block_at(self.n1 + c2, mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return (lo, self._reason(c1, c2, lo - 1) if lo else None)
+
+    def _reason(self, c1: int, c2: int, rnd: int) -> tuple:
+        """``violation`` of pair (c1, c2) against the round-``rnd`` blocks."""
+        (t1, t2), K, n1 = self.tables, self.K, self.n1
+        for kind, nom in self.closures:
+            op = ("close", kind, nom)
+            (a,), (b,) = t1.moves[op][c1], t2.moves[op][c2]
+            if self._block_at(a, rnd) != self._block_at(n1 + b, rnd):
+                return (kind, nom, a * K + b)
+        for rel in self.rels:
+            for name, side, traced in self.clauses:
+                op = ("step", rel, traced)
+                states = [t1.moves[op][c1], [n1 + u for u in t2.moves[op][c2]]]
+                chosen, replies = states if side == "left" else states[::-1]
+                matched = {self._block_at(u, rnd) for u in replies}
+                for t in chosen:
+                    if self._block_at(t, rnd) not in matched:
+                        return (name, rel, t if side == "left" else t - n1)
+        raise AssertionError(f"pair {c1 * K + c2} has no violation at round {rnd}")
+
+    def witness(self) -> frozenset[Pair]:
+        """The union of the block products (B ∩ W1) × (B ∩ W2)."""
+        (t1, t2), block, n1 = self.tables, self.block, self.n1
+        lefts: dict[int, list[Config]] = {}
+        for c, b in zip(t1.configs, block):
+            lefts.setdefault(b, []).append(c)
+        return frozenset((c1, c2) for c2, b in zip(t2.configs, block[n1:]) for c1 in lefts.get(b, ()))
+
+
 # ---------------------------------------------------------------------------
 # Distinguisher extraction by refinement tracing (non-memory dialects)
 
 
-def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
+def _distinguisher(spec: LogicSpec, engine: _Engine | _Blocks, start: int) -> Formula:
     """Rebuild a distinguishing formula of a deleted pair id (true on the
     left, false on the right) from the fixpoint's deletion reasons.  Each
     pair's ``build`` yields the pair ids whose formulas it needs, each built
@@ -308,6 +446,14 @@ def _distinguisher(spec: LogicSpec, engine: _Engine, start: int) -> Formula:
 # Public API
 
 
+def _engine(conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
+    """Block refinement for symmetric conditions that move no memory, the
+    pair fixpoint for the others."""
+    symmetric = not conds.atomic_one_directional and conds.forth == conds.back
+    engine = _Blocks if symmetric and not conds.memory_active else _Engine
+    return engine(conds, left, right, max_pairs)
+
+
 def _solve(
     spec: LogicSpec,
     conds: SimConditions,
@@ -322,9 +468,9 @@ def _solve(
         raise InvariantViolationError(f"depth must be at least 0, got {distinguisher_depth}")
     left.require_world(w)
     right.require_world(v)
-    engine = _Engine(conds, left, right, max_pairs)
+    engine = _engine(conds, left, right, max_pairs)
     start = engine.run(initial_pair(left, w, right, v))
-    if start in engine.alive:
+    if start not in engine.dead:
         return SimulationOutcome(True, engine.witness(), None)
     if conds.memory_active:
         if distinguisher_depth <= 0:
@@ -348,9 +494,9 @@ def fixpoint_separator(
     """For dialects without memory or jump operators, whose deletion rounds
     count modal depth: the traced distinguisher when the canonical fixpoint
     deletes the initial pair within ``depth`` rounds, else None."""
-    engine = _Engine(conditions_for(spec), left, right, max_pairs)
+    engine = _engine(conditions_for(spec), left, right, max_pairs)
     start = engine.run(initial_pair(left, w, right, v))
-    if start in engine.alive or engine.dead[start][0] > depth:
+    if start not in engine.dead or engine.dead[start][0] > depth:
         return None
     return _distinguisher(spec, engine, start)
 

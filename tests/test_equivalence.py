@@ -7,6 +7,7 @@ formulas.  verify_relation doubles as the oracle for engine output: whatever
 the fixpoint returns as a witness must pass the defining conditions verbatim.
 """
 
+import gc
 import time
 from itertools import combinations
 
@@ -27,6 +28,8 @@ from modalkit.configs import CLAUSES, initial_pair
 from modalkit.equivalence import (
     Config,
     SimConditions,
+    _Blocks,
+    _distinguisher,
     _Engine,
     bisimilar,
     bml_partition_refinement,
@@ -454,6 +457,25 @@ def _synchronous_rounds(conds, left, right, initial):
             dead[pair] = (rnd, reason)
 
 
+def _config_pair(engine, p):
+    (t1, t2), K = engine.tables, engine.K
+    return (t1.configs[p // K], t2.configs[p % K])
+
+
+def _death(engine, p):
+    """An engine's (round, reason) of pair id p in configurations and
+    worlds, as ``_synchronous_rounds`` keys them."""
+    (t1, t2), K = engine.tables, engine.K
+    rnd, reason = engine.dead[p]
+    if reason is None:
+        return (0, engine.static_reason(t1.sig[p // K], t2.sig[p % K]))
+    name, info, target = reason
+    if name in CLAUSES:
+        table = t1 if CLAUSES[name][0] == "left" else t2
+        return (rnd, (name, info, table.configs[target].world))
+    return (rnd, (name, info, _config_pair(engine, target)))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(DIALECTS)), st.booleans(), st.data())
 def test_worklist_matches_synchronous_rounds(name, directed, data):
@@ -475,23 +497,8 @@ def test_worklist_matches_synchronous_rounds(name, directed, data):
     engine.run(initial)
     alive, dead = _synchronous_rounds(conds, left, right, initial)
     (t1, t2), K = engine.tables, engine.K
-
-    def pair(p):
-        return (t1.configs[p // K], t2.configs[p % K])
-
-    def death(p):
-        """The engine's (round, reason) of p in configurations and worlds."""
-        rnd, reason = engine.dead[p]
-        if reason is None:
-            return (0, engine.static_reason(t1.sig[p // K], t2.sig[p % K]))
-        name, info, target = reason
-        if name in CLAUSES:
-            table = t1 if CLAUSES[name][0] == "left" else t2
-            return (rnd, (name, info, table.configs[target].world))
-        return (rnd, (name, info, pair(target)))
-
     assert engine.witness() == frozenset(alive)
-    assert {pair(p): death(p) for p in engine.dead} == dead
+    assert {_config_pair(engine, p): _death(engine, p) for p in engine.dead} == dead
     space = RefSpace(conds, left, right)
     for c1, s1 in zip(t1.configs, t1.sig):
         for c2, s2 in zip(t2.configs, t2.sig):
@@ -524,6 +531,102 @@ def test_worklist_checks_each_pair_a_bounded_number_of_times(n, monkeypatch):
     assert len(engine.alive) + len(engine.dead) == pairs
     assert engine.dead[start][0] == n
     assert calls <= 3 * pairs
+
+
+# ---------------------------------------------------------------------------
+# Block refinement against the synchronous rounds and the pair engine
+
+SYMMETRIC_PLAIN = sorted(
+    name
+    for name, spec in DIALECTS.items()
+    if not (conds := conditions_for(spec)).memory_active and not conds.atomic_one_directional
+)
+
+
+def test_symmetric_plain_dialects_take_block_refinement():
+    assert SYMMETRIC_PLAIN == ["bml", "hl", "hl-at"]
+
+
+def _draw_pointed_pair(spec, data):
+    sig = sig_for(spec)
+    left = data.draw(models(sig=sig, max_worlds=4, allow_mem=True))
+    right = data.draw(models(sig=sig, max_worlds=4, allow_mem=True))
+    w = data.draw(st.sampled_from(left.worlds))
+    v = data.draw(st.sampled_from(right.worlds))
+    return left, w, right, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SYMMETRIC_PLAIN), st.data())
+def test_block_refinement_matches_synchronous_rounds(name, data):
+    """For every grid pair, the same verdict and (round, reason) as the
+    synchronous rounds; the witness is their live set."""
+    spec = DIALECTS[name]
+    left, w, right, v = _draw_pointed_pair(spec, data)
+    conds = conditions_for(spec)
+    initial = initial_pair(left, w, right, v)
+    engine = _Blocks(conds, left, right, 2**20)
+    engine.run(initial)
+    alive, dead = _synchronous_rounds(conds, left, right, initial)
+    assert engine.witness() == frozenset(alive)
+    for p in range(len(left.worlds) * engine.K):
+        pair = _config_pair(engine, p)
+        assert (p not in engine.dead) == (pair in alive)
+        if pair in dead:
+            assert _death(engine, p) == dead[pair]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SYMMETRIC_PLAIN), st.data())
+def test_bisimilar_agrees_with_the_pair_engine(name, data):
+    """``bisimilar`` answers as the pair fixpoint would: the same verdict,
+    witness and printed distinguisher."""
+    spec = DIALECTS[name]
+    left, w, right, v = _draw_pointed_pair(spec, data)
+    outcome = bisimilar(spec, left, w, right, v)
+    engine = _Engine(conditions_for(spec), left, right, 2**20)
+    start = engine.run(initial_pair(left, w, right, v))
+    assert outcome.related == (start in engine.alive)
+    if outcome.related:
+        assert outcome.witness == engine.witness()
+    else:
+        expected = _distinguisher(spec, engine, start)
+        assert print_formula(outcome.distinguisher) == print_formula(expected)
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_block_refinement_keys_each_state_a_bounded_number_of_times(n):
+    """A chain of n worlds against one of n + 1 takes n rounds to part the
+    start points, but only states whose successors moved are re-keyed: a
+    small constant times the state count in all, not rounds x states."""
+    short, long = chain_model(n), chain_model(n + 1)
+    engine = _Blocks(conditions_for(BML), short, long, 2**20)
+    start = engine.run(initial_pair(short, "w0", long, "w0"))
+    assert engine.dead[start][0] == n
+    assert engine.keyed <= 3 * (2 * n + 1)
+
+
+def test_bisimilar_is_freed_without_the_cycle_collector():
+    """Related and unrelated answers through block refinement leave no
+    object that only the cycle collector could free."""
+    two, w0 = fixture_model("fork_two.km")
+    three, v0 = fixture_model("fork_three.km")
+    big, w = fixture_model("four_world.km")
+    small, v = fixture_model("two_world_loop.km")
+    named = KripkeModel(("a", "b"), {"r": frozenset({("a", "b")})}, {"p": frozenset({"b"})}, noms={"i": "b"})
+    other = KripkeModel(("a", "b"), {"r": frozenset({("a", "a")})}, {"p": frozenset({"b"})}, noms={"i": "b"})
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("bml", "hl-at"):
+            spec = DIALECTS[name]
+            assert not bisimilar(spec, three, v0, two, w0).related
+            assert bisimilar(spec, big, w, small, v).related
+            assert bisimilar(spec, named, "b", other, "b").related
+            assert not bisimilar(spec, named, "a", other, "a").related
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
