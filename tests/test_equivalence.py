@@ -1,4 +1,5 @@
-"""The fixpoint (bi)simulation engine: condition derivation, witnesses,
+"""The fixpoint (bi)simulation engine and the block refinement that decides
+symmetric dialects without memory: condition derivation, witnesses,
 distinguishers, the direct relation verifier, and partition refinement.
 
 conditions_for is pinned as a table because everything downstream hangs off
