@@ -18,7 +18,7 @@ place that says how a configuration changes:
 ``vocabulary`` names what a space over some models compares.  A
 ``ConfigTable`` interns one model's configurations as ints, keeps each one's
 signature int (bit k: it satisfies the k-th *signature atom*, a ``Prop``,
-``Known`` or ``Nom``), and caches each move and its inverse on first use.
+``Known`` or ``Nom``), and caches each move on first use.
 ``PairSpace`` holds what two tables share under one condition set (see
 ``equivalence.SimConditions``): the vocabulary, the ``atoms`` its static
 conditions compare, the active closures and clauses, the operators ``ops``
@@ -148,11 +148,10 @@ class ConfigTable:
     ``configs[c]`` is the configuration with id c, ``sig[c]`` its atomic
     signature (bit k set when it satisfies ``atoms[k]``); ``moves[op][c]``
     is the tuple of ids one application of op leads to from c (one id for a
-    closure update, the successors for a step) and ``pre[op][d]`` lists the
-    ids whose ``moves[op]`` entry contains d.  Both are filled by
-    ``targets``, entry by entry, on first use; ``move`` computes an entry
-    without recording it.  A nominal the model does not assign sets no
-    signature bit.
+    closure update, the successors for a step), filled by ``targets``,
+    entry by entry, on first use; ``move`` computes an entry without
+    recording it.  A nominal the model does not assign sets no signature
+    bit.
     """
 
     def __init__(self, model: KripkeModel, atoms: tuple[Formula, ...]):
@@ -161,7 +160,6 @@ class ConfigTable:
         self.sig: list[int] = []
         self.ids: dict[tuple[frozenset[str], str], int] = {}
         self.moves: dict[Op, dict[int, tuple[int, ...]]] = {}
-        self.pre: dict[Op, dict[int, list[int]]] = {}
         bits: dict[str, int] = dict.fromkeys(model.worlds, 0)
         self._known_bit = 0
         for k, atom in enumerate(atoms):
@@ -197,17 +195,13 @@ class ConfigTable:
         return (self.intern(*close(a, b, self.model, config.mem, config.world)),)
 
     def targets(self, op: Op, c: int) -> tuple[int, ...]:
-        """``move``, computed once and recorded in ``moves`` and ``pre``."""
+        """``move``, computed once and recorded in ``moves``."""
         row = self.moves.get(op)
         if row is None:
             row = self.moves[op] = {}
-            self.pre[op] = {}
         out = row.get(c)
         if out is None:
             out = row[c] = self.move(op, c)
-            pre = self.pre[op]
-            for d in out:
-                pre.setdefault(d, []).append(c)
         return out
 
 

@@ -22,15 +22,16 @@ The pair engine starts from every materialized pair satisfying the static
 conditions and deletes violating pairs in rounds until stable; the survivors
 are the largest relation closed under the conditions, so the returned
 witness contains every valid hand-built relation over the same space.  It
-serves directed conditions and memory dialects, whose configuration space
-is materialized lazily from the initial pair's closure (with a hard cap).
-Symmetric conditions that move no memory are decided without pairs, by
-refining the blocks of the disjoint union of the two models' worlds; two
-worlds share a round-r block exactly when their pair survives r rounds, so
-the two engines give the same verdicts, death rounds, reasons and
-witnesses (Kanellakis & Smolka, Inf. & Comp. 86(1) 1990; Paige & Tarjan,
-SIAM J. Comput. 16(6) 1987).  Its witness, the union of the block products,
-has up to |W1|·|W2| pairs, so ``max_pairs`` bounds that product.
+serves memory dialects, whose configuration space is materialized lazily
+from the initial pair's closure (with a hard cap).  Conditions that move no
+memory are decided without pair ids.  Symmetric ones refine the blocks of
+the disjoint union of the two models' worlds; two worlds share a round-r
+block exactly when their pair survives r rounds (Kanellakis & Smolka, Inf.
+& Comp. 86(1) 1990; Paige & Tarjan, SIAM J. Comput. 16(6) 1987).  Directed
+ones refine one bit row per right world, the left worlds whose pair with it
+survives r rounds (Henzinger, Henzinger & Kopke, FOCS 1995).  Both give the
+pair engine's verdicts, death rounds, reasons and witnesses.  Their
+witnesses have up to |W1|·|W2| pairs, so ``max_pairs`` bounds that product.
 
 The pair engine runs on integers.  Each model's configurations are
 interned in a ``configs.ConfigTable``, and a pair of ids is the one int
@@ -39,7 +40,7 @@ static check when ``PairSpace.disagreement`` of its two signature ints is 0
 (``sig1 == sig2``, or ``sig1 & ~sig2 == 0`` when atomic agreement is
 one-directional).  Round 1 checks every statically live pair; round r + 1
 checks only the live predecessors of the pairs round r deleted, found
-through the tables' inverse maps, since a pair none of whose closure images
+through inverse maps of the tables' moves, since a pair none of whose closure images
 or modal successor pairs died keeps the verdict it had.  Every check of a
 round reads the live set as the round found it and the round's deletions
 are applied after its last check, so each deleted pair's round (the modal
@@ -135,6 +136,15 @@ def serialize_witness(witness: frozenset[Pair]) -> str:
     return "\n".join(lines)
 
 
+def _inverse(moves: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
+    """d -> the ids whose entry in one op's ``moves`` contains d."""
+    pre: dict[int, list[int]] = {}
+    for c, targets in moves.items():
+        for d in targets:
+            pre.setdefault(d, []).append(c)
+    return pre
+
+
 class _Engine(PairSpace):
     """The fixpoint on pair ids p = c1 * K + c2 over the two models'
     ``ConfigTable``s; ``alive`` and ``dead`` (p -> (round, reason)) are keyed
@@ -219,7 +229,7 @@ class _Engine(PairSpace):
             for rel in self.rels
             for name, side, traced in self.clauses
         ]
-        pre_rows = [(t1.pre[op], t2.pre[op]) for op in self.ops]
+        pre_rows = [(_inverse(t1.moves[op]), _inverse(t2.moves[op])) for op in self.ops]
         rnd = 0
         frontier = set(alive)
         while frontier:
@@ -274,7 +284,81 @@ class _Engine(PairSpace):
         return frozenset((t1.configs[p // K], t2.configs[p % K]) for p in self.alive)
 
 
-class _Blocks(PairSpace):
+class _Refinement(PairSpace):
+    """What the two engines without pairs share.  Every world is one state
+    of its side's table under the side's fixed memory; a state's value (its
+    block, or its row of related partners) is ``first[s]`` at round 0 and
+    the last ``history[s]`` entry (round, value) at or before a later round.
+    The engine is its own ``dead`` mapping of pair ids: a pair's death round
+    is found by binary search over the rounds and its reason is recomputed
+    against the round before, in ``violation``'s clause order, so that
+    ``_distinguisher`` reads it as it reads ``_Engine``'s."""
+
+    def __init__(self, conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
+        super().__init__(conds, left, right)
+        if len(left.worlds) * len(right.worlds) > max_pairs:  # the witness can be that large
+            raise StateSpaceExceededError(max_pairs)
+        self.tables = self.config_tables()
+        self.n1, self.K = len(left.worlds), len(right.worlds)
+        self.history: dict[int, list[tuple[int, int]]] = {}
+
+    dead = property(lambda self: self)
+
+    def _start(self, initial: Pair) -> int:
+        """Interns every world of both sides; the initial pair's id."""
+        (t1, t2), (c1, c2) = self.tables, initial
+        for a in self.left.worlds:
+            t1.intern(c1.mem, a)
+        for b in self.right.worlds:
+            t2.intern(c2.mem, b)
+        return t1.intern(c1.mem, c1.world) * self.K + t2.intern(c2.mem, c2.world)
+
+    def _at(self, s: int, rnd: int) -> int:
+        history = self.history.get(s, ())
+        i = bisect_right(history, rnd, key=itemgetter(0))
+        return history[i - 1][1] if i else self.first[s]
+
+    def __contains__(self, p: int) -> bool:
+        return not self._related_at(*divmod(p, self.K), self.rounds)
+
+    def __getitem__(self, p: int) -> tuple[int, tuple | None]:
+        """(death round, reason) of a pair id that is not related."""
+        if p not in self:
+            raise KeyError(p)
+        c1, c2 = divmod(p, self.K)
+        lo, hi = 0, self.rounds
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._related_at(c1, c2, mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return (lo, self._reason(c1, c2, lo - 1) if lo else None)
+
+    def _reason(self, c1: int, c2: int, rnd: int) -> tuple:
+        """``violation`` of pair (c1, c2) against the round-``rnd`` relation."""
+        (t1, t2), K, related = self.tables, self.K, self._related_at
+        for kind, nom in self.closures:
+            op = ("close", kind, nom)
+            (a,), (b,) = t1.moves[op][c1], t2.moves[op][c2]
+            if not related(a, b, rnd):
+                return (kind, nom, a * K + b)
+        for rel in self.rels:
+            for name, side, traced in self.clauses:
+                op = ("step", rel, traced)
+                succ1, succ2 = t1.moves[op][c1], t2.moves[op][c2]
+                if side == "left":
+                    for t in succ1:
+                        if not any(related(t, u, rnd) for u in succ2):
+                            return (name, rel, t)
+                else:
+                    for t in succ2:
+                        if not any(related(u, t, rnd) for u in succ1):
+                            return (name, rel, t)
+        raise AssertionError(f"pair {c1 * K + c2} has no violation at round {rnd}")
+
+
+class _Blocks(_Refinement):
     """Block refinement of W1 ⊎ W2 for symmetric conditions that move no
     memory.  State s < n1 is left configuration s, state n1 + c right
     configuration c.  Round 0 groups the states by signature; round r
@@ -284,29 +368,11 @@ class _Blocks(PairSpace):
     splits, and then the part of its unchanged states (else its largest
     part) keeps it, so that only moved states make their predecessors
     dirty.  Two states share a round-r block exactly when their pair
-    survives r synchronous rounds of the fixpoint, so a pair's death round
-    is found by binary search over each state's (round, block) history and
-    its reason is recomputed against round r - 1 in ``violation``'s clause
-    order.  The engine is its own ``dead`` mapping of pair ids, so that
-    ``_distinguisher`` reads it as it reads ``_Engine``'s."""
-
-    def __init__(self, conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
-        super().__init__(conds, left, right)
-        if len(left.worlds) * len(right.worlds) > max_pairs:  # the witness can be that large
-            raise StateSpaceExceededError(max_pairs)
-        self.tables = self.config_tables()
-        self.n1, self.K = len(left.worlds), len(right.worlds)
-        self.keyed = 0  # key computations, over all rounds
-
-    dead = property(lambda self: self)
+    survives r synchronous rounds of the fixpoint."""
 
     def run(self, initial: Pair) -> int:
+        start = self._start(initial)
         (t1, t2), n1, ops = self.tables, self.n1, self.ops
-        c1, c2 = initial
-        for a in self.left.worlds:
-            t1.intern(c1.mem, a)
-        for b in self.right.worlds:
-            t2.intern(c2.mem, b)
         # per state, its targets under each op, right states offset by n1
         succ = [[t1.targets(op, c) for op in ops] for c in range(n1)]
         succ += [[[n1 + d for d in t2.targets(op, c)] for op in ops] for c in range(self.K)]
@@ -317,13 +383,14 @@ class _Blocks(PairSpace):
                     pre[t].append(s)
         numbers: dict[int, int] = {}
         block = [numbers.setdefault(sig, len(numbers)) for sig in t1.sig + t2.sig]
-        self.first, self.history = block[:], {}  # the round-0 blocks; state -> its moves
+        self.first = block[:]
         size = [0] * len(numbers)
         for b in block:
             size[b] += 1
         keys: list[tuple | None] = [None] * len(numbers)
         block_of = block.__getitem__
         dirty, rnd = range(len(succ)), 0
+        self.keyed = 0  # key computations, over all rounds
         while dirty:
             rnd += 1
             self.keyed += len(dirty)
@@ -351,49 +418,10 @@ class _Blocks(PairSpace):
                     moved += part
             dirty = {p for s in moved for p in pre[s]}
         self.block, self.rounds = block, rnd
-        return t1.intern(c1.mem, c1.world) * self.K + t2.intern(c2.mem, c2.world)
+        return start
 
-    def _block_at(self, s: int, rnd: int) -> int:
-        history = self.history.get(s, ())
-        i = bisect_right(history, rnd, key=itemgetter(0))
-        return history[i - 1][1] if i else self.first[s]
-
-    def __contains__(self, p: int) -> bool:
-        c1, c2 = divmod(p, self.K)
-        return self.block[c1] != self.block[self.n1 + c2]
-
-    def __getitem__(self, p: int) -> tuple[int, tuple | None]:
-        """(death round, reason) of a pair id that is not related."""
-        if p not in self:
-            raise KeyError(p)
-        c1, c2 = divmod(p, self.K)
-        lo, hi = 0, self.rounds
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._block_at(c1, mid) == self._block_at(self.n1 + c2, mid):
-                lo = mid + 1
-            else:
-                hi = mid
-        return (lo, self._reason(c1, c2, lo - 1) if lo else None)
-
-    def _reason(self, c1: int, c2: int, rnd: int) -> tuple:
-        """``violation`` of pair (c1, c2) against the round-``rnd`` blocks."""
-        (t1, t2), K, n1 = self.tables, self.K, self.n1
-        for kind, nom in self.closures:
-            op = ("close", kind, nom)
-            (a,), (b,) = t1.moves[op][c1], t2.moves[op][c2]
-            if self._block_at(a, rnd) != self._block_at(n1 + b, rnd):
-                return (kind, nom, a * K + b)
-        for rel in self.rels:
-            for name, side, traced in self.clauses:
-                op = ("step", rel, traced)
-                states = [t1.moves[op][c1], [n1 + u for u in t2.moves[op][c2]]]
-                chosen, replies = states if side == "left" else states[::-1]
-                matched = {self._block_at(u, rnd) for u in replies}
-                for t in chosen:
-                    if self._block_at(t, rnd) not in matched:
-                        return (name, rel, t if side == "left" else t - n1)
-        raise AssertionError(f"pair {c1 * K + c2} has no violation at round {rnd}")
+    def _related_at(self, c1: int, c2: int, rnd: int) -> bool:
+        return self._at(c1, rnd) == self._at(self.n1 + c2, rnd)
 
     def witness(self) -> frozenset[Pair]:
         """The union of the block products (B ∩ W1) × (B ∩ W2)."""
@@ -404,11 +432,117 @@ class _Blocks(PairSpace):
         return frozenset((c1, c2) for c2, b in zip(t2.configs, block[n1:]) for c1 in lefts.get(b, ()))
 
 
+def _bits(m: int) -> list[int]:
+    """The set bits of m, lowest first."""
+    return [i for i, ch in enumerate(reversed(bin(m))) if ch == "1"]
+
+
+class _Rows(_Refinement):
+    """Row refinement for directed conditions that move no memory: the
+    greatest simulation as one bit row per right state (Henzinger, Henzinger
+    & Kopke, FOCS 1995).  Bit c1 of ``rows[c2]`` is set while pair (c1, c2)
+    is alive.  Round 0 sets the left states whose signature has no
+    ``disagreement`` with c2's.  Round r recomputes only the rows of the
+    right states whose closure image or step successor changed row in round
+    r - 1, each against the round r - 1 rows, so every pair dies in its
+    synchronous round.  Over c2's images t under one operator, back and the
+    closures keep the left states with an image in ``rows[t]`` (a preimage
+    kept per row until the row changes); forth keeps the left states whose
+    successors all lie in the union of those rows.  Left preimages are
+    memoized by mask.  A row's history holds its value after each change.
+    The rows belong to right states because a right state's row often
+    loses its bits in one round: along two chains each row changes once,
+    where a left state's row would change in every round."""
+
+    def run(self, initial: Pair) -> int:
+        start = self._start(initial)
+        (t1, t2), n1, n2 = self.tables, self.n1, self.K
+        full, disagreement = (1 << n1) - 1, self.disagreement
+        groups: dict[int, int] = {}  # left signature -> its states
+        for c1, sig in enumerate(t1.sig):
+            groups[sig] = groups.get(sig, 0) | 1 << c1
+        by_sig: dict[int, int] = {}
+        for sig in t2.sig:
+            if sig not in by_sig:
+                by_sig[sig] = sum(m for s, m in groups.items() if not disagreement(s, sig))
+        rows = [by_sig[sig] for sig in t2.sig]
+        self.first = rows[:]
+        sides = {side for _, side, _ in self.clauses}  # which side picks first
+        # per op: c2's images, the two clause shapes, the kept preimages of
+        # the rows, the left inverse (bit c1 of inverse[d]: op moves c1 to d)
+        # and the preimage memo
+        terms = []
+        readers: list[list[int]] = [[] for _ in range(n2)]
+        for op in self.ops:
+            succ = [t2.targets(op, c2) for c2 in range(n2)]
+            for c2, targets in enumerate(succ):
+                for t in targets:
+                    readers[t].append(c2)
+            inverse = [0] * n1
+            for c1 in range(n1):
+                for d in t1.targets(op, c1):
+                    inverse[d] |= 1 << c1
+            close = op[0] == "close"
+            exists, forall = close or "right" in sides, not close and "left" in sides
+            terms.append((succ, exists, forall, [None] * n2, inverse, {}))
+
+        def pre(inverse: list[int], memo: dict[int, int], m: int) -> int:
+            out = memo.get(m)
+            if out is None:
+                out = 0
+                for c1 in _bits(m):
+                    out |= inverse[c1]
+                memo[m] = out
+            return out
+
+        def update(c2: int) -> int:
+            row = rows[c2]
+            for succ, exists, forall, images, inverse, memo in terms:
+                targets = succ[c2]
+                if exists:
+                    for t in targets:
+                        m = images[t]
+                        if m is None:
+                            m = images[t] = pre(inverse, memo, rows[t])
+                        row &= m
+                if forall:
+                    union = 0
+                    for t in targets:
+                        union |= rows[t]
+                    if union != full:
+                        row &= ~pre(inverse, memo, full & ~union)
+            return row
+
+        history, dirty, rnd = self.history, range(n2), 0
+        self.recomputed = 0  # row recomputations, over all rounds
+        while dirty:
+            rnd += 1
+            self.recomputed += len(dirty)
+            changed = [(c2, row) for c2 in dirty if (row := update(c2)) != rows[c2]]
+            for c2, row in changed:
+                rows[c2] = row
+                history.setdefault(c2, []).append((rnd, row))
+                for _, _, _, images, _, _ in terms:
+                    images[c2] = None
+            dirty = {r for c2, _ in changed for r in readers[c2]}
+        self.rows, self.rounds = rows, rnd
+        return start
+
+    def _related_at(self, c1: int, c2: int, rnd: int) -> bool:
+        return self._at(c2, rnd) >> c1 & 1
+
+    def witness(self) -> frozenset[Pair]:
+        """The set bits of the rows."""
+        t1, t2 = self.tables
+        configs1 = t1.configs
+        return frozenset((configs1[c1], c2) for c2, row in zip(t2.configs, self.rows) for c1 in _bits(row))
+
+
 # ---------------------------------------------------------------------------
 # Distinguisher extraction by refinement tracing (non-memory dialects)
 
 
-def _distinguisher(spec: LogicSpec, engine: _Engine | _Blocks, start: int) -> Formula:
+def _distinguisher(spec: LogicSpec, engine: _Engine | _Refinement, start: int) -> Formula:
     """Rebuild a distinguishing formula of a deleted pair id (true on the
     left, false on the right) from the fixpoint's deletion reasons.  Each
     pair's ``build`` yields the pair ids whose formulas it needs, each built
@@ -447,11 +581,12 @@ def _distinguisher(spec: LogicSpec, engine: _Engine | _Blocks, start: int) -> Fo
 
 
 def _engine(conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
-    """Block refinement for symmetric conditions that move no memory, the
-    pair fixpoint for the others."""
+    """The pair fixpoint when memory moves; else block refinement for
+    symmetric conditions and row refinement for directed ones."""
+    if conds.memory_active:
+        return _Engine(conds, left, right, max_pairs)
     symmetric = not conds.atomic_one_directional and conds.forth == conds.back
-    engine = _Blocks if symmetric and not conds.memory_active else _Engine
-    return engine(conds, left, right, max_pairs)
+    return (_Blocks if symmetric else _Rows)(conds, left, right, max_pairs)
 
 
 def _solve(

@@ -1,6 +1,7 @@
-"""The fixpoint (bi)simulation engine and the block refinement that decides
-symmetric dialects without memory: condition derivation, witnesses,
-distinguishers, the direct relation verifier, and partition refinement.
+"""The fixpoint (bi)simulation engine, the block refinement that decides
+symmetric dialects without memory and the row refinement that decides
+directed ones: condition derivation, witnesses, distinguishers, the direct
+relation verifier, and partition refinement.
 
 conditions_for is pinned as a table because everything downstream hangs off
 it; the fixture models carry hand-checked expected relations and separating
@@ -31,7 +32,9 @@ from modalkit.equivalence import (
     SimConditions,
     _Blocks,
     _distinguisher,
+    _engine,
     _Engine,
+    _Rows,
     bisimilar,
     bml_partition_refinement,
     conditions_for,
@@ -284,14 +287,20 @@ def test_pair_space_caps():
     cyc, b = fixture_model("two_cycle.km")
     with pytest.raises(StateSpaceExceededError, match="^configuration pair space exceeds the limit of 2$"):
         bisimilar(ML, refl, a, cyc, b, max_pairs=2, distinguisher_depth=0)
+    # the directed conditions take the row refinement, with the same cap
+    with pytest.raises(StateSpaceExceededError, match="^configuration pair space exceeds the limit of 7$"):
+        simulated_by(BML, big, w, small, v, max_pairs=7)
+    with pytest.raises(StateSpaceExceededError, match="^configuration pair space exceeds the limit of 7$"):
+        bisimilar(BML_MINUS, big, w, small, v, max_pairs=7)
     # 1100 x 1100 world pairs exceed the default cap, which is checked
     # before any pair is built.
     worlds = tuple(f"w{i:04d}" for i in range(1100))
     chain = KripkeModel(worlds, {"r": frozenset(zip(worlds, worlds[1:]))})
-    start = time.perf_counter()
-    with pytest.raises(StateSpaceExceededError):
-        bisimilar(BML, chain, worlds[0], chain, worlds[0])
-    assert time.perf_counter() - start < 1.0
+    for solve in (bisimilar, simulated_by):
+        start = time.perf_counter()
+        with pytest.raises(StateSpaceExceededError):
+            solve(BML, chain, worlds[0], chain, worlds[0])
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +616,113 @@ def test_block_refinement_keys_each_state_a_bounded_number_of_times(n):
     assert engine.keyed <= 3 * (2 * n + 1)
 
 
+# ---------------------------------------------------------------------------
+# Row refinement against the synchronous rounds and the pair engine
+
+# a negation-free dialect whose box makes the back clause run under
+# one-directional atomic agreement, with and without nominals and @
+BOX_MINUS = LogicSpec("box-minus", frozenset({"diamond", "box"}), has_negation=False)
+HYBRID_BOX_MINUS = LogicSpec(
+    "hybrid-box-minus", frozenset({"diamond", "box", "nominal", "at"}), has_negation=False
+)
+PLAIN = ("bml", "bml-minus", "hl", "hl-at")
+DIRECTED_PLAIN = [
+    *((DIALECTS[name], True) for name in PLAIN),
+    (BML_MINUS, False),
+    (BOX_MINUS, False),
+    (HYBRID_BOX_MINUS, False),
+]
+
+
+# (dialect, directed) -> engine: memory moves take the pair fixpoint,
+# symmetric conditions without them block refinement, directed ones rows
+ENGINES = {
+    **{(name, directed): _Engine for name in DIALECTS if name.startswith("ml-") for directed in (False, True)},
+    **{(name, False): _Blocks for name in ("bml", "hl", "hl-at")},
+    **{(name, True): _Rows for name in PLAIN},
+    ("bml-minus", False): _Rows,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIALECTS))
+@pytest.mark.parametrize("directed", [False, True])
+def test_each_condition_set_takes_its_engine(name, directed):
+    spec = DIALECTS[name]
+    conds = conditions_for(spec)
+    if directed:
+        conds = directed_conditions(conds)
+    model = KripkeModel(("a",), {"r": frozenset()}, noms={"i": "a"} if spec.allows("nominal") else {})
+    assert type(_engine(conds, model, model, 2**20)) is ENGINES[name, directed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(DIRECTED_PLAIN))), st.data())
+def test_row_refinement_matches_synchronous_rounds(index, data):
+    """For every grid pair, the same verdict and (round, reason) as the
+    synchronous rounds; the witness is their live set."""
+    spec, directed = DIRECTED_PLAIN[index]
+    left, w, right, v = _draw_pointed_pair(spec, data)
+    conds = conditions_for(spec)
+    if directed:
+        conds = directed_conditions(conds)
+    initial = initial_pair(left, w, right, v)
+    engine = _Rows(conds, left, right, 2**20)
+    engine.run(initial)
+    alive, dead = _synchronous_rounds(conds, left, right, initial)
+    assert engine.witness() == frozenset(alive)
+    for p in range(len(left.worlds) * engine.K):
+        pair = _config_pair(engine, p)
+        assert (p not in engine.dead) == (pair in alive)
+        if pair in dead:
+            assert _death(engine, p) == dead[pair]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PLAIN), st.data())
+def test_simulated_by_agrees_with_the_pair_engine(name, data):
+    """``simulated_by`` answers as the pair fixpoint would: the same
+    verdict, witness and printed distinguisher."""
+    spec = DIALECTS[name]
+    left, w, right, v = _draw_pointed_pair(spec, data)
+    outcome = simulated_by(spec, left, w, right, v)
+    engine = _Engine(directed_conditions(conditions_for(spec)), left, right, 2**20)
+    start = engine.run(initial_pair(left, w, right, v))
+    assert outcome.related == (start in engine.alive)
+    if outcome.related:
+        assert outcome.witness == engine.witness()
+    else:
+        expected = _distinguisher(spec, engine, start)
+        assert print_formula(outcome.distinguisher) == print_formula(expected)
+
+
+@pytest.mark.parametrize("n", [10, 30])
+@pytest.mark.parametrize("longer", ["left", "right"])
+def test_row_refinement_recomputes_each_row_a_bounded_number_of_times(n, longer):
+    """Chains of n and n + 1 worlds take about n rounds, but only the rows
+    of right states whose successors' rows changed are recomputed: a small
+    constant times the state count in all, not rounds x states.  The start
+    pair dies, when the left chain is the longer, in the pair engine's
+    round."""
+    short, long = chain_model(n), chain_model(n + 1)
+    left, right = (long, short) if longer == "left" else (short, long)
+    conds = directed_conditions(conditions_for(BML))
+    initial = initial_pair(left, "w0", right, "w0")
+    engine = _Rows(conds, left, right, 2**20)
+    start = engine.run(initial)
+    pairs = _Engine(conds, left, right, 2**20)
+    assert pairs.run(initial) == start
+    assert (start in engine.dead) == (longer == "left")
+    if longer == "left":
+        assert engine.dead[start] == pairs.dead[start]
+        assert engine.dead[start][0] == n
+    else:
+        assert engine.witness() == pairs.witness()
+    assert engine.recomputed <= 3 * len(left.worlds)
+
+
 def test_bisimilar_is_freed_without_the_cycle_collector():
-    """Related and unrelated answers through block refinement leave no
-    object that only the cycle collector could free."""
+    """Related and unrelated answers through block and row refinement leave
+    no object that only the cycle collector could free."""
     two, w0 = fixture_model("fork_two.km")
     three, v0 = fixture_model("fork_three.km")
     big, w = fixture_model("four_world.km")
@@ -625,6 +738,12 @@ def test_bisimilar_is_freed_without_the_cycle_collector():
             assert bisimilar(spec, big, w, small, v).related
             assert bisimilar(spec, named, "b", other, "b").related
             assert not bisimilar(spec, named, "a", other, "a").related
+            assert not simulated_by(spec, three, v0, two, w0).related
+            assert simulated_by(spec, two, w0, three, v0).related
+            assert simulated_by(spec, named, "b", other, "b").related
+            assert not simulated_by(spec, named, "a", other, "a").related
+        assert not bisimilar(BML_MINUS, three, v0, two, w0).related
+        assert bisimilar(BML_MINUS, two, w0, three, v0).related
         assert gc.collect() == 0
     finally:
         gc.enable()
