@@ -6,7 +6,10 @@ place that says how a configuration changes:
   - the closure updates, in their fixed order remember, forget, erase, then
     ``@i`` for each nominal: remember adds the current world to memory,
     forget removes it, erase empties the memory, and ``@i`` jumps to the
-    world named i keeping the memory;
+    world named i keeping the memory; ``ABSORBED`` names, per update's
+    formula type, the updates that change nothing just before it
+    (remember, forget or erase before erase; remember or forget before
+    either; any ``@j`` before ``@i``);
   - the modal step along a relation, plain (memory unchanged) or traced
     (the current world committed to memory first, as the double modality
     does);
@@ -93,6 +96,16 @@ MEMORY_UPDATES: dict[str, Callable[[frozenset[str], str], frozenset[str]]] = {
 }
 
 _CLOSURE_FORMULAS = {"remember": Remember, "forget": Forget, "erase": Erase}
+
+# formula node type k -> the closure kinds j it absorbs: close_k after
+# close_j is close_k, so j applied to a formula whose outer operator is k
+# means that formula again.
+ABSORBED: dict[type, frozenset[str]] = {
+    Erase: frozenset(MEMORY_UPDATES),
+    Remember: frozenset({"remember", "forget"}),
+    Forget: frozenset({"remember", "forget"}),
+    At: frozenset({"nom"}),
+}
 
 
 def closures(conds: SimConditions, noms) -> tuple[tuple[str, str | None], ...]:

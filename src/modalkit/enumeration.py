@@ -11,12 +11,24 @@ Each operator that moves a configuration (a diamond or double diamond along
 a relation, remember, forget, erase, a jump ``@i``) is a ``configs.Op``
 whose meaning is the preimage of its argument (the bottom-up labelling of
 Clarke, Emerson & Sistla, TOPLAS 1986); a box is the dual of its diamond.
-On first use its predecessor rows (row t: the configurations one application
-moves to t) are read from the tables' moves and folded into a 16-entry table
-per four rows, as in the Method of Four Russians (Arlazarov et al., 1970),
-so a preimage costs two lookups per nonzero byte of its argument.  The
-context lists its atoms and its depth-0 updates (negation, then the
-closures) once, and both engines read them.
+Configuration (memory block B, world index i) of model k is bit
+``offsets[k] + B*|W_k| + i``, so an operator that keeps the memory acts
+alike on every block (I ⊗ R, the Kronecker structure of Plateau,
+SIGMETRICS 1985) and its preimage is computed by shifts: a plain step ORs,
+for each world-index offset of its edges, the argument shifted by that
+offset and masked to the edges' sources in every block; erase spreads each
+model's block 0 (the empty memory) over all its blocks, and ``@i`` each
+block's bit of world i over that block, one multiplication per model.
+Remember, forget and the traced steps move between blocks by world; on
+first use their predecessor rows (row t: the configurations one
+application moves to t) are read from the tables' moves and folded into a
+16-entry table per four rows, as in the Method of Four Russians
+(Arlazarov et al., 1970), so a preimage costs two lookups per nonzero byte
+of its argument.  The context lists its atoms and its depth-0 updates
+(negation, then the closures) once, with, per outer operator of a
+formula, the updates that operator absorbs (``configs.ABSORBED``) left
+out: both engines read them, and neither computes a mask it knows to be
+the formula's own.
 
 Two engines share the context:
 
@@ -59,7 +71,7 @@ from functools import partial
 from itertools import accumulate, combinations
 from typing import Callable
 
-from .configs import ConfigTable, Op, closure_formula, closures, vocabulary
+from .configs import ABSORBED, ConfigTable, Op, closure_formula, closures, vocabulary
 from .equivalence import DEFAULT_MAX_PAIRS, conditions_for, fixpoint_separator
 from .errors import (
     BudgetExceededError,
@@ -108,15 +120,75 @@ def _mem_subsets(worlds: tuple[str, ...]) -> list[frozenset[str]]:
     return [frozenset(c) for k in range(len(worlds) + 1) for c in combinations(worlds, k)]
 
 
-def _pre(nibbles: dict, tables: list[ConfigTable], offsets: list[int], op: Op, m: int) -> int:
+def _pre(plans: dict, tables: list[ConfigTable], offsets: list[int], op: Op, m: int) -> int:
     """The configurations that op moves into m: the meaning of op's diamond
-    or closure operator applied to a formula meaning m, read a byte of m at
-    a time from the byte's low and high nibble tables, kept in nibbles."""
-    tabs = nibbles.get(op)
-    if tabs is None:
-        tabs = nibbles[op] = _nibble_tables(tables, offsets, op)
+    or closure operator applied to a formula meaning m, read by op's plan
+    (see ``_plan``), kept in plans."""
+    plan = plans.get(op)
+    if plan is None:
+        plan = plans[op] = _plan(tables, offsets, op)
+    return plan(m)
+
+
+def _rep(n: int, blocks: int) -> int:
+    """Bit 0 of each of the blocks of n bits."""
+    return ((1 << blocks * n) - 1) // ((1 << n) - 1)
+
+
+def _plan(tables: list[ConfigTable], offsets: list[int], op: Op) -> Callable[[int], int]:
+    """op's preimage as a function of the argument mask.  An operator that
+    keeps the memory acts alike on every memory block of |W| bits: a plain
+    step shifts m once per world-index offset of its edges, erase spreads
+    block 0 over every block, ``@i`` each block's bit of world i over its
+    block.  The rest (remember, forget, the traced steps) map blocks to
+    other blocks by world and read nibble tables."""
+    tag, a, b = op
+    if b if tag == "step" else a in ("remember", "forget"):
+        return partial(_read_nibbles, *_nibble_tables(tables, offsets, op))
+    sources: dict[int, int] = {}  # a plain step's offset t - s -> the bits of sources s
+    parts = []  # erase's and @i's (shift, pick, spread, offset) per model
+    for table, off in zip(tables, offsets):
+        worlds = table.model.worlds
+        n = len(worlds)
+        rep, ones = _rep(n, len(table.configs) // n), (1 << n) - 1
+        if tag == "step":
+            index = {w: i for i, w in enumerate(worlds)}
+            for i, s in enumerate(worlds):
+                for t in table.model.successors(a, s):
+                    d = index[t] - i
+                    sources[d] = sources.get(d, 0) | rep << (off + i)
+        elif a == "erase":
+            parts.append((off, ones, rep, off))
+        else:
+            parts.append((off + worlds.index(table.model.noms[b]), rep, ones, off))
+    if tag == "step":
+        return partial(
+            _read_shifts,
+            [(d, s) for d, s in sources.items() if d >= 0],
+            [(-d, s) for d, s in sources.items() if d < 0],
+        )
+    return partial(_read_blocks, parts)
+
+
+def _read_shifts(down: list[tuple[int, int]], up: list[tuple[int, int]], m: int) -> int:
     out = 0
-    for b, low, high in zip(m.to_bytes((m.bit_length() + 7) >> 3, "little"), *tabs):
+    for d, s in down:
+        out |= m >> d & s
+    for d, s in up:
+        out |= m << d & s
+    return out
+
+
+def _read_blocks(parts: list[tuple[int, int, int, int]], m: int) -> int:
+    out = 0
+    for shift, pick, spread, off in parts:
+        out |= (m >> shift & pick) * spread << off
+    return out
+
+
+def _read_nibbles(lows: list[list[int]], highs: list[list[int]], m: int) -> int:
+    out = 0
+    for b, low, high in zip(m.to_bytes((m.bit_length() + 7) >> 3, "little"), lows, highs):
         if b:
             out |= low[b & 15] | high[b >> 4]
     return out
@@ -154,9 +226,12 @@ class EvalContext:
     ``atoms`` lists (formula, meaning) for the propositions, then ``known``,
     then the nominals, as the dialect allows; ``updates`` lists (formula
     builder, mask transform) for negation, then the closure updates in
-    ``configs.closures`` order.  ``pre`` is the one preimage routine behind
-    every operator, keyed by ``configs.Op``, reading its nibble tables; no
-    transform refers back to the context, which frees it without a cycle.
+    ``configs.closures`` order; ``updates_after`` maps a formula node type
+    to the updates that type does not absorb.  ``pre`` is the one preimage
+    routine behind every operator, keyed by ``configs.Op``: a plain step,
+    erase and ``@i`` read shift plans, remember, forget and the traced
+    steps nibble tables.  No transform refers back to the context, which
+    frees it without a cycle.
     """
 
     def __init__(self, spec: LogicSpec, models: list[KripkeModel] | tuple[KripkeModel, ...]):
@@ -176,8 +251,9 @@ class EvalContext:
             raise StateSpaceExceededError(MAX_CONFIGS, "configuration space")
         atoms = (*map(Prop, self.props), Known(), *map(Nom, self.noms))
         self.tables = [ConfigTable(m, atoms) for m in self.models]
-        for m, table in zip(self.models, self.tables):
-            for mem in _mem_subsets(m.worlds) if self.memory_table else [frozenset(m.mem)]:
+        blocks = [_mem_subsets(m.worlds) if self.memory_table else [frozenset(m.mem)] for m in self.models]
+        for m, table, mems in zip(self.models, self.tables, blocks):
+            for mem in mems:
                 for w in m.worlds:
                     table.intern(mem, w)
         self.offsets = [0, *accumulate(len(table.configs) for table in self.tables)]
@@ -187,13 +263,23 @@ class EvalContext:
         self.full = (1 << len(self.configs)) - 1
         self.pre = partial(_pre, {}, self.tables, self.offsets)
 
-        # signature bit j -> the mask of the configurations that have it
+        # signature bit j -> the mask of the configurations that have it: a
+        # world's atoms other than known hold at its bit of every block, and
+        # known at each block's memory
+        known = len(self.props)
         masks = [0] * len(atoms)
-        for b, s in enumerate(s for table in self.tables for s in table.sig):
-            while s:
-                j = s.bit_length() - 1
-                masks[j] |= 1 << b
-                s ^= 1 << j
+        for m, table, mems, off in zip(self.models, self.tables, blocks, self.offsets):
+            n = len(m.worlds)
+            rep = _rep(n, len(mems))
+            for i, s in enumerate(table.sig[:n]):
+                s &= ~(1 << known)
+                while s:
+                    j = s.bit_length() - 1
+                    masks[j] |= rep << (off + i)
+                    s ^= 1 << j
+            index = {w: i for i, w in enumerate(m.worlds)}
+            for b, mem in enumerate(mems):
+                masks[known] |= sum(1 << index[w] for w in mem) << (off + b * n)
         mask_of = dict(zip(atoms, masks))
         self.prop_mask = {p: mask_of[Prop(p)] for p in self.props}
         self.known_mask = mask_of[Known()]
@@ -203,10 +289,16 @@ class EvalContext:
             (atom, mask) for atom, mask in zip(atoms, masks) if allowed[type(atom)]
         ]
         negation = [(Not, self.full.__xor__)] if spec.has_negation else []
+        active = closures(conds, self.noms)
         self.updates: list[tuple[Callable[[Formula], Formula], Callable[[int], int]]] = negation + [
             (partial(closure_formula, kind, nom), partial(self.pre, ("close", kind, nom)))
-            for kind, nom in closures(conds, self.noms)
+            for kind, nom in active
         ]
+        kinds = [None] * len(negation) + [kind for kind, _ in active]
+        self.updates_after = {
+            node: [u for kind, u in zip(kinds, self.updates) if kind not in absorbed]
+            for node, absorbed in ABSORBED.items()
+        }
 
     def bit_of(self, model_index: int, mem: frozenset[str], world: str) -> int:
         return self.offsets[model_index] + self.tables[model_index].ids[(frozenset(mem), world)]
@@ -307,7 +399,7 @@ def stream_with_meanings(ctx: EvalContext, max_depth: int, budget: int):
             seen.add(mask)
             accepted.append((size, phi, mask))
             yield phi, mask
-            for build, transform in ctx.updates:
+            for build, transform in ctx.updates_after.get(type(phi), ctx.updates):
                 if (m := transform(mask)) not in seen:
                     psi = build(phi)
                     heapq.heappush(heap, (size + 1, print_formula(psi), next(tick), psi, m))
@@ -418,7 +510,7 @@ class JointPartition:
                 seen.add(mask)
                 if self._apply(phi, mask):
                     split_any = True
-                for build, transform in ctx.updates:
+                for build, transform in ctx.updates_after.get(type(phi), ctx.updates):
                     if (m := transform(mask)) not in seen:
                         queue.append((build(phi), m))
             return split_any

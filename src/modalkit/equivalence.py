@@ -189,11 +189,18 @@ class _Engine(PairSpace):
         c1, c2 = initial
         order = [t1.intern(c1.mem, c1.world) * K + t2.intern(c2.mem, c2.world)]
         seen = set(order)
+        # each op's recorded moves, read directly; targets only on a miss
+        rows = [(op, t1.moves.setdefault(op, {}), t2.moves.setdefault(op, {})) for op in self.ops]
         for p in order:  # grows while walked: breadth-first
             c1, c2 = divmod(p, K)
-            for op in self.ops:
-                replies = t2.targets(op, c2)
-                for a in t1.targets(op, c1):
+            for op, row1, row2 in rows:
+                replies = row2.get(c2)
+                if replies is None:
+                    replies = t2.targets(op, c2)
+                moves = row1.get(c1)
+                if moves is None:
+                    moves = t1.targets(op, c1)
+                for a in moves:
                     base = a * K
                     for b in replies:
                         q = base + b

@@ -26,13 +26,14 @@ from conftest import (
     SIG,
     SIG_NOM,
     fixture_model,
+    formulas,
     models,
     reference_fold,
     reference_print,
     sig_for,
 )
 from modalkit import enumeration
-from modalkit.configs import MEMORY_UPDATES, close, step_memory
+from modalkit.configs import ABSORBED, MEMORY_UPDATES, close, closure_formula, closures, step_memory
 from modalkit.enumeration import (
     EvalContext,
     JointPartition,
@@ -57,12 +58,16 @@ from modalkit.syntax import (
     DIALECTS,
     And,
     At,
+    Box,
     Diamond,
+    Erase,
+    Forget,
     LogicSpec,
     Nom,
     Not,
     Prop,
     Remember,
+    Signature,
     Top,
     conjoin,
     formula_size,
@@ -291,16 +296,48 @@ def _masks(n):
     return st.one_of(st.just(0), st.just(full), sparse, sparse.map(full.__xor__), st.integers(0, full))
 
 
+# A five-world model with self-loops (offset 0), a world without successors
+# (w2), and edges at every offset from -4 to +4, and a three-world model
+# beside it: its blocks are 3 bits wide where the first model's are 5, so
+# every shift of the pair crosses models' and bytes' boundaries.
+_SHIFT_SHAPES = [
+    KripkeModel(
+        tuple(f"w{k}" for k in range(5)),
+        {
+            "r": frozenset(
+                {("w0", "w0"), ("w0", "w4"), ("w1", "w0"), ("w1", "w3"), ("w3", "w3"),
+                 ("w3", "w1"), ("w4", "w0"), ("w4", "w2"), ("w4", "w1")}
+            )
+        },
+        {"p": frozenset({"w0", "w2"}), "q": frozenset({"w4"})},
+        frozenset({"w1"}),
+        {"i": "w3"},
+    ),
+    KripkeModel(
+        ("w0", "w1", "w2"),
+        {"r": frozenset({("w2", "w0"), ("w1", "w1")})},
+        {"p": frozenset({"w1"}), "q": frozenset()},
+        frozenset(),
+        {"i": "w0"},
+    ),
+]
+
+
 @settings(max_examples=25)
 @given(st.data())
 def test_nibble_pre_matches_per_bit_union(data):
-    """pre reads its nibble tables to the same preimage as the per-bit union
-    of the predecessor table, for every operator of every dialect's context
-    (the memory dialects' among them).  One or two models of one to three
-    worlds make contexts of 1 to 6 configurations without memory and of 2,
-    4, 8, 10, 16, 24, 26, 32 or 48 with it: whole and partial last bytes."""
+    """pre (shift plans for the plain steps, erase and ``@i``, nibble tables
+    for the rest) gives the same preimage as the per-bit union of the
+    predecessor table, for every operator of every dialect's context (the
+    memory dialects' among them).  One or two models of one to five worlds,
+    or the fixed pair above, make contexts of 1 to 10 configurations
+    without memory and up to 320 with it: whole and partial last bytes,
+    negative, zero and multi-byte shifts."""
     mods = data.draw(
-        st.lists(models(sig=SIG_NOM, max_worlds=3, allow_mem=True), min_size=1, max_size=2)
+        st.one_of(
+            st.just(_SHIFT_SHAPES),
+            st.lists(models(sig=SIG_NOM, max_worlds=5, allow_mem=True), min_size=1, max_size=2),
+        )
     )
     for name in ALL_DIALECTS:
         spec = DIALECTS[name]
@@ -310,6 +347,64 @@ def test_nibble_pre_matches_per_bit_union(data):
             rows = table(op)
             for m in data.draw(st.lists(_masks(len(rows)), min_size=1, max_size=4)):
                 assert ctx.pre(op, m) == _pre_by_bits(rows, m), (name, op, m)
+
+
+def test_memory_keeping_operators_build_no_nibble_tables(monkeypatch):
+    """A plain step, erase and ``@i`` act alike on every memory block and
+    read shift plans; only remember, forget and the traced steps build
+    nibble tables."""
+    built = []
+    nibble_tables = enumeration._nibble_tables
+    monkeypatch.setattr(
+        enumeration, "_nibble_tables", lambda tables, offsets, op: built.append(op) or nibble_tables(tables, offsets, op)
+    )
+    ctx = EvalContext(DIALECTS["ml-full"], _SHIFT_SHAPES)
+    for op in [("step", "r", False), ("close", "erase", None), ("close", "nom", "i")]:
+        ctx.pre(op, ctx.prop_mask["p"])
+    ctx.meaning(Box("r", Erase(Diamond("r", Prop("q")))))
+    assert built == []
+    memory_changing = [("close", "remember", None), ("close", "forget", None), ("step", "r", True)]
+    for op in memory_changing:
+        ctx.pre(op, ctx.prop_mask["p"])
+    assert built == memory_changing
+
+
+_NOMS2 = Signature(props=("p",), rels=("r",), noms=("i", "j"))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_absorbed_updates_change_nothing(data):
+    """configs.ABSORBED holds: close_k after close_j is close_k for every
+    absorbed pair at every configuration, and on a random context every
+    update the stream and the waves skip after a formula (the updates its
+    outer operator absorbs) maps the formula's mask to itself."""
+    mods = data.draw(st.lists(models(sig=_NOMS2, max_worlds=3, allow_mem=True), min_size=1, max_size=2))
+    kind_of = {Remember: "remember", Forget: "forget", Erase: "erase", At: "nom"}
+
+    def with_noms(kind):
+        return [(kind, i) for i in _NOMS2.noms] if kind == "nom" else [(kind, None)]
+
+    for m in mods:
+        for mem in [frozenset(c) for n in range(len(m.worlds) + 1) for c in combinations(m.worlds, n)]:
+            for w in m.worlds:
+                for node, absorbed in ABSORBED.items():
+                    for k in with_noms(kind_of[node]):
+                        for j in (j for kind in absorbed for j in with_noms(kind)):
+                            assert close(*k, m, *close(*j, m, mem, w)) == close(*k, m, mem, w), (k, j)
+
+    spec = DIALECTS[data.draw(st.sampled_from(["ml-full", "ml-erase", "ml-forget", "hl-at"]))]
+    ctx = EvalContext(spec, mods)
+    phi = data.draw(formulas(spec, _NOMS2))
+    active = closures(conditions_for(spec), ctx.noms)
+    for kind, nom in active:
+        psi = closure_formula(kind, nom, phi)
+        mask = ctx.meaning(psi)
+        absorbed = ABSORBED[type(psi)]
+        skipped = [u for u in ctx.updates if u not in ctx.updates_after[type(psi)]]
+        assert len(skipped) == sum(j in absorbed for j, _ in active)
+        for _, transform in skipped:
+            assert transform(mask) == mask, print_formula(psi)
 
 
 # ---------------------------------------------------------------------------
