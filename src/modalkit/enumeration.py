@@ -14,21 +14,21 @@ Clarke, Emerson & Sistla, TOPLAS 1986); a box is the dual of its diamond.
 Configuration (memory block B, world index i) of model k is bit
 ``offsets[k] + B*|W_k| + i``, so an operator that keeps the memory acts
 alike on every block (I ⊗ R, the Kronecker structure of Plateau,
-SIGMETRICS 1985) and its preimage is computed by shifts: a plain step ORs,
-for each world-index offset of its edges, the argument shifted by that
-offset and masked to the edges' sources in every block; erase spreads each
-model's block 0 (the empty memory) over all its blocks, and ``@i`` each
-block's bit of world i over that block, one multiplication per model.
-Remember, forget and the traced steps move between blocks by world; on
-first use their predecessor rows (row t: the configurations one
-application moves to t) are read from the tables' moves and folded into a
-16-entry table per four rows, as in the Method of Four Russians
-(Arlazarov et al., 1970), so a preimage costs two lookups per nonzero byte
-of its argument.  The context lists its atoms and its depth-0 updates
-(negation, then the closures) once, with, per outer operator of a
-formula, the updates that operator absorbs (``configs.ABSORBED``) left
-out: both engines read them, and neither computes a mask it knows to be
-the formula's own.
+SIGMETRICS 1985), erase sends every block to block 0 (the empty memory)
+whatever the world, and their preimages are computed by shifts: a plain
+step ORs, for each world-index offset of its edges, the argument shifted
+by that offset and masked to the edges' sources in every block; erase
+spreads each model's block 0 over all its blocks, and ``@i`` each block's
+bit of world i over that block, one multiplication per model.  Remember,
+forget and the traced steps move between blocks by world; on first use
+their predecessor rows (row t: the configurations one application moves to
+t) are read from the tables' moves and folded into a 16-entry table per
+four rows, as in the Method of Four Russians (Arlazarov et al., 1970), so
+a preimage costs two lookups per nonzero byte of its argument.  The context
+lists its atoms and its depth-0 updates (negation, then the closures) once,
+with, per outer operator of a formula, the updates that operator absorbs
+(``configs.ABSORBED``) left out: both engines read them, and neither
+computes a mask it knows to be the formula's own.
 
 Two engines share the context:
 
@@ -136,14 +136,15 @@ def _rep(n: int, blocks: int) -> int:
 
 
 def _plan(tables: list[ConfigTable], offsets: list[int], op: Op) -> Callable[[int], int]:
-    """op's preimage as a function of the argument mask.  An operator that
-    keeps the memory acts alike on every memory block of |W| bits: a plain
-    step shifts m once per world-index offset of its edges, erase spreads
-    block 0 over every block, ``@i`` each block's bit of world i over its
-    block.  The rest (remember, forget, the traced steps) map blocks to
-    other blocks by world and read nibble tables."""
+    """op's preimage as a function of the argument mask.  A plain step and
+    ``@i`` act alike on every memory block of |W| bits, and erase sends
+    every block to block 0: a plain step shifts m once per world-index
+    offset of its edges, erase spreads block 0 over every block, ``@i``
+    each block's bit of world i over its block.  The rest (remember,
+    forget, the traced steps) map blocks to other blocks by world and read
+    nibble tables."""
     tag, a, b = op
-    if b if tag == "step" else a in ("remember", "forget"):
+    if b if tag == "step" else a in ("remember", "forget"):  # traced, remember, forget
         return partial(_read_nibbles, *_nibble_tables(tables, offsets, op))
     sources: dict[int, int] = {}  # a plain step's offset t - s -> the bits of sources s
     parts = []  # erase's and @i's (shift, pick, spread, offset) per model

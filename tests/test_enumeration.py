@@ -350,9 +350,9 @@ def test_nibble_pre_matches_per_bit_union(data):
 
 
 def test_memory_keeping_operators_build_no_nibble_tables(monkeypatch):
-    """A plain step, erase and ``@i`` act alike on every memory block and
-    read shift plans; only remember, forget and the traced steps build
-    nibble tables."""
+    """A plain step and ``@i`` act alike on every memory block, and erase
+    reads block 0 from every block: they read shift plans; only remember,
+    forget and the traced steps build nibble tables."""
     built = []
     nibble_tables = enumeration._nibble_tables
     monkeypatch.setattr(
