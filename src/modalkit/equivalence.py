@@ -18,36 +18,31 @@ other conditions are active:
                  update of both sides;
   - nom        : closure under jumping both sides to a nominal's worlds.
 
-The pair engine starts from every materialized pair satisfying the static
-conditions and deletes violating pairs in rounds until stable; the survivors
-are the largest relation closed under the conditions, so the returned
-witness contains every valid hand-built relation over the same space.  It
-serves memory dialects, whose configuration space is materialized lazily
-from the initial pair's closure (with a hard cap).  Conditions that move no
-memory are decided without pair ids.  Symmetric ones refine the blocks of
-the disjoint union of the two models' worlds; two worlds share a round-r
-block exactly when their pair survives r rounds (Kanellakis & Smolka, Inf.
-& Comp. 86(1) 1990; Paige & Tarjan, SIAM J. Comput. 16(6) 1987).  Directed
-ones refine one bit row per right world, the left worlds whose pair with it
-survives r rounds (Henzinger, Henzinger & Kopke, FOCS 1995).  Both give the
-pair engine's verdicts, death rounds, reasons and witnesses.  Their
-witnesses have up to |W1|·|W2| pairs, so ``max_pairs`` bounds that product.
+A (bi)simulation under these conditions is an ordinary one of the
+configuration transition system: its states are each side's configurations,
+labelled by their signature ints, and its labels the closure updates and the
+plain and traced steps.  So the largest relation is found on the states of
+each side, never on pairs.  Each model's states are interned in a
+``configs.ConfigTable``: every world under the model's memory when no memory
+moves, else the configurations the point reaches, walked breadth-first with
+at most ``max_pairs`` per side.  Symmetric conditions refine the blocks of
+the two sides' disjoint union (Kanellakis & Smolka, Inf. & Comp. 86(1) 1990;
+Paige & Tarjan, SIAM J. Comput. 16(6) 1987); directed ones refine one bit
+row per right state, the left states it still relates to (Henzinger,
+Henzinger & Kopke, FOCS 1995).  Two states are related after r rounds of
+either exactly when their pair survives r synchronous rounds of the pair
+fixpoint, which re-checks every live pair against the live set as the round
+found it.  A pair that dies has that round (the modal depth
+``fixpoint_separator`` reads), and as its reason the first condition it
+fails against the round before.  A pair is the one int ``p = c1 * K + c2``,
+K the right side's state count.
 
-The pair engine runs on integers.  Each model's configurations are
-interned in a ``configs.ConfigTable``, and a pair of ids is the one int
-``p = c1 * K + c2``, K bounding the right table's size.  A pair passes the
-static check when ``PairSpace.disagreement`` of its two signature ints is 0
-(``sig1 == sig2``, or ``sig1 & ~sig2 == 0`` when atomic agreement is
-one-directional).  Round 1 checks every statically live pair; round r + 1
-checks only the live predecessors of the pairs round r deleted, found
-through inverse maps of the tables' moves, since a pair none of whose closure images
-or modal successor pairs died keeps the verdict it had.  Every check of a
-round reads the live set as the round found it and the round's deletions
-are applied after its last check, so each deleted pair's round (the modal
-depth ``fixpoint_separator`` reads) and reason are exactly those of
-synchronous rounds that re-check every live pair (Kanellakis & Smolka, Inf.
-& Comp. 86(1) 1990).  The distinguisher tracer reads the reasons and the
-tables' moves by id; configurations are rebuilt only for the witness.
+Only a related answer builds pairs, for its witness.  Without memory the
+witness is every related pair of worlds, so ``max_pairs`` bounds |W1|·|W2|
+before any work.  With memory it is the related part of the pairs the start
+pair reaches, walked through dead pairs too, and a walk past ``max_pairs``
+raises.  A pair that is not related gets a distinguisher traced from the
+reasons by pair id, or, for memory dialects, ``separating_formula``'s.
 """
 
 from __future__ import annotations
@@ -136,71 +131,67 @@ def serialize_witness(witness: frozenset[Pair]) -> str:
     return "\n".join(lines)
 
 
-def _inverse(moves: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
-    """d -> the ids whose entry in one op's ``moves`` contains d."""
-    pre: dict[int, list[int]] = {}
-    for c, targets in moves.items():
-        for d in targets:
-            pre.setdefault(d, []).append(c)
-    return pre
+class _Refinement(PairSpace):
+    """What the two engines share.  A state is a configuration of its
+    side's table: every world under the side's fixed memory when no memory
+    moves, else every configuration the side's initial one reaches.  A
+    state's value (its block, or its row of related partners) is
+    ``first[s]`` at round 0 and the last ``history[s]`` entry (round, value)
+    at or before a later round.  The engine is its own ``dead`` mapping of
+    pair ids p = c1 * K + c2: a pair's death round is found by binary search
+    over the rounds and its reason is recomputed against the round before,
+    closures first and then each relation's clauses, for ``_distinguisher``
+    to read."""
 
-
-class _Engine(PairSpace):
-    """The fixpoint on pair ids p = c1 * K + c2 over the two models'
-    ``ConfigTable``s; ``alive`` and ``dead`` (p -> (round, reason)) are keyed
-    by pair id; a pair that fails the static conditions has reason None,
-    and ``static_reason`` names its failure from the two signatures."""
-
-    def __init__(
-        self,
-        conds: SimConditions,
-        left: KripkeModel,
-        right: KripkeModel,
-        max_pairs: int,
-    ):
+    def __init__(self, conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
         super().__init__(conds, left, right)
+        if not conds.memory_active and len(left.worlds) * len(right.worlds) > max_pairs:
+            raise StateSpaceExceededError(max_pairs)  # the witness can be that large
         self.max_pairs = max_pairs
         self.tables = self.config_tables()
-        # K bounds the right model's configuration count: |W| without
-        # memory moves, |W| * 2^|W| with them.
-        n = len(right.worlds)
-        self.K = n << n if conds.memory_active else n
-        self.dead: dict[int, tuple[int, tuple | None]] = {}
-        self.alive: set[int] = set()
+        self.n1, self.K = len(left.worlds), len(right.worlds)
+        self.history: dict[int, list[tuple[int, int]]] = {}
 
-    # -- materialization -----------------------------------------------------
+    dead = property(lambda self: self)
 
-    def materialize(self, initial: Pair) -> list[int]:
-        """The pair ids of the space, with every move of their configurations
-        cached in the tables."""
-        t1, t2 = self.tables
-        K = self.K
+    def _start(self, initial: Pair) -> int:
+        """Interns the states of both sides; the initial pair's id.  With
+        memory moves each side's initial configuration is id 0, and its
+        table is walked breadth-first under every op, at most ``max_pairs``
+        configurations per side."""
+        (t1, t2), (c1, c2) = self.tables, initial
+        if self.conds.memory_active:
+            for table, c in zip(self.tables, initial):
+                table.intern(c.mem, c.world)
+                for s, _ in enumerate(table.configs):  # grows while walked
+                    for op in self.ops:
+                        table.targets(op, s)
+                    if len(table.configs) > self.max_pairs:
+                        raise StateSpaceExceededError(self.max_pairs, "configuration space")
+            self.n1, self.K = len(t1.configs), len(t2.configs)
+            return 0
+        for a in self.left.worlds:
+            t1.intern(c1.mem, a)
+        for b in self.right.worlds:
+            t2.intern(c2.mem, b)
+        return t1.intern(c1.mem, c1.world) * self.K + t2.intern(c2.mem, c2.world)
+
+    def witness(self) -> frozenset[Pair]:
+        """The related pairs.  Without memory moves, every related pair of
+        states.  With them, the related ones among the pairs the start pair
+        reaches under the ops, walked breadth-first through dead pairs too;
+        a walk past ``max_pairs`` pairs raises."""
         if not self.conds.memory_active:
-            if len(self.left.worlds) * len(self.right.worlds) > self.max_pairs:
-                raise StateSpaceExceededError(self.max_pairs)
-            ids1 = [t1.intern(initial[0].mem, a) for a in self.left.worlds]
-            ids2 = [t2.intern(initial[1].mem, b) for b in self.right.worlds]
-            for op in self.ops:
-                for c in ids1:
-                    t1.targets(op, c)
-                for c in ids2:
-                    t2.targets(op, c)
-            return [a * K + b for a in ids1 for b in ids2]
-        c1, c2 = initial
-        order = [t1.intern(c1.mem, c1.world) * K + t2.intern(c2.mem, c2.world)]
+            return self._all_related()
+        (t1, t2), K, rounds = self.tables, self.K, self.rounds
+        rows = [(t1.moves[op], t2.moves[op]) for op in self.ops]
+        order = [0]  # the start pair: each side's initial configuration is id 0
         seen = set(order)
-        # each op's recorded moves, read directly; targets only on a miss
-        rows = [(op, t1.moves.setdefault(op, {}), t2.moves.setdefault(op, {})) for op in self.ops]
         for p in order:  # grows while walked: breadth-first
             c1, c2 = divmod(p, K)
-            for op, row1, row2 in rows:
-                replies = row2.get(c2)
-                if replies is None:
-                    replies = t2.targets(op, c2)
-                moves = row1.get(c1)
-                if moves is None:
-                    moves = t1.targets(op, c1)
-                for a in moves:
+            for row1, row2 in rows:
+                replies = row2[c2]
+                for a in row1[c1]:
                     base = a * K
                     for b in replies:
                         q = base + b
@@ -209,116 +200,8 @@ class _Engine(PairSpace):
                                 raise StateSpaceExceededError(self.max_pairs)
                             seen.add(q)
                             order.append(q)
-        return order
-
-    # -- the fixpoint --------------------------------------------------------
-
-    def run(self, initial: Pair) -> int:
-        """Round 1 checks every statically live pair; round r + 1 checks only
-        the live predecessors of the pairs round r deleted, the only ones
-        whose check can have changed.  Each round's checks all read
-        ``alive`` as the round found it.  Returns the initial pair's id."""
-        pairs = self.materialize(initial)
-        (t1, t2), K = self.tables, self.K
-        sig1, sig2, disagreement = t1.sig, t2.sig, self.disagreement
-        alive, dead = self.alive, self.dead
-        for p in pairs:
-            if disagreement(sig1[p // K], sig2[p % K]):
-                dead[p] = (0, None)
-            else:
-                alive.add(p)
-        self._closure_rows = [
-            (kind, nom, t1.moves[("close", kind, nom)], t2.moves[("close", kind, nom)])
-            for kind, nom in self.closures
-        ]
-        self._clause_rows = [
-            (name, rel, side == "left", t1.moves[("step", rel, traced)], t2.moves[("step", rel, traced)])
-            for rel in self.rels
-            for name, side, traced in self.clauses
-        ]
-        pre_rows = [(_inverse(t1.moves[op]), _inverse(t2.moves[op])) for op in self.ops]
-        rnd = 0
-        frontier = set(alive)
-        while frontier:
-            rnd += 1
-            doomed = [(p, reason) for p in frontier if (reason := self.violation(p)) is not None]
-            for p, reason in doomed:
-                alive.discard(p)
-                dead[p] = (rnd, reason)
-            deleted: dict[int, list[int]] = {}
-            for q, _ in doomed:
-                d1, d2 = divmod(q, K)
-                deleted.setdefault(d1, []).append(d2)
-            frontier = set()
-            for pre1, pre2 in pre_rows:
-                for d1, d2s in deleted.items():
-                    sources = pre1.get(d1)
-                    if sources:
-                        replies = set().union(*[pre2.get(d2, ()) for d2 in d2s])
-                        for a in sources:
-                            frontier.update(map((a * K).__add__, replies))
-            frontier &= alive
-        c1, c2 = initial
-        return t1.intern(c1.mem, c1.world) * K + t2.intern(c2.mem, c2.world)
-
-    def violation(self, p: int) -> tuple | None:
-        """The first failed condition of pair p against ``alive``: a closure
-        update with its image's pair id, or a modal clause with the target's
-        configuration id."""
-        K, alive = self.K, self.alive
-        c1, c2 = divmod(p, K)
-        for kind, nom, row1, row2 in self._closure_rows:
-            (a,), (b,) = row1[c1], row2[c2]
-            if a * K + b not in alive:
-                return (kind, nom, a * K + b)
-        for name, rel, left_first, row1, row2 in self._clause_rows:
-            succ1, succ2 = row1[c1], row2[c2]
-            if left_first:
-                for t in succ1:
-                    if alive.isdisjoint(map((t * K).__add__, succ2)):
-                        return (name, rel, t)
-            elif succ2:
-                bases = [u * K for u in succ1]
-                for t in succ2:
-                    if alive.isdisjoint(map(t.__add__, bases)):
-                        return (name, rel, t)
-        return None
-
-    # -- the edges -----------------------------------------------------------
-
-    def witness(self) -> frozenset[Pair]:
-        (t1, t2), K = self.tables, self.K
-        return frozenset((t1.configs[p // K], t2.configs[p % K]) for p in self.alive)
-
-
-class _Refinement(PairSpace):
-    """What the two engines without pairs share.  Every world is one state
-    of its side's table under the side's fixed memory; a state's value (its
-    block, or its row of related partners) is ``first[s]`` at round 0 and
-    the last ``history[s]`` entry (round, value) at or before a later round.
-    The engine is its own ``dead`` mapping of pair ids: a pair's death round
-    is found by binary search over the rounds and its reason is recomputed
-    against the round before, in ``violation``'s clause order, so that
-    ``_distinguisher`` reads it as it reads ``_Engine``'s."""
-
-    def __init__(self, conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
-        super().__init__(conds, left, right)
-        if len(left.worlds) * len(right.worlds) > max_pairs:  # the witness can be that large
-            raise StateSpaceExceededError(max_pairs)
-        self.tables = self.config_tables()
-        self.n1, self.K = len(left.worlds), len(right.worlds)
-        self.history: dict[int, list[tuple[int, int]]] = {}
-
-    dead = property(lambda self: self)
-
-    def _start(self, initial: Pair) -> int:
-        """Interns every world of both sides; the initial pair's id."""
-        (t1, t2), (c1, c2) = self.tables, initial
-        for a in self.left.worlds:
-            t1.intern(c1.mem, a)
-        for b in self.right.worlds:
-            t2.intern(c2.mem, b)
-        return t1.intern(c1.mem, c1.world) * self.K + t2.intern(c2.mem, c2.world)
+        pairs = (divmod(p, K) for p in order)
+        return frozenset((t1.configs[a], t2.configs[b]) for a, b in pairs if self._related_at(a, b, rounds))
 
     def _at(self, s: int, rnd: int) -> int:
         history = self.history.get(s, ())
@@ -366,16 +249,16 @@ class _Refinement(PairSpace):
 
 
 class _Blocks(_Refinement):
-    """Block refinement of W1 ⊎ W2 for symmetric conditions that move no
-    memory.  State s < n1 is left configuration s, state n1 + c right
-    configuration c.  Round 0 groups the states by signature; round r
-    re-keys the states whose closure image or step successor changed block
-    in round r - 1, a key being the set of round r - 1 blocks each operator
-    leads to, and splits a block by key.  A block keeps its id unless it
-    splits, and then the part of its unchanged states (else its largest
-    part) keeps it, so that only moved states make their predecessors
-    dirty.  Two states share a round-r block exactly when their pair
-    survives r synchronous rounds of the fixpoint."""
+    """Block refinement of the disjoint union of both sides' states, for
+    symmetric conditions.  State s < n1 is left configuration s, state
+    n1 + c right configuration c.  Round 0 groups the states by signature;
+    round r re-keys the states whose closure image or step successor changed
+    block in round r - 1, a key being the set of round r - 1 blocks each
+    operator leads to, and splits a block by key.  A block keeps its id
+    unless it splits, and then the part of its unchanged states (else its
+    largest part) keeps it, so that only moved states make their
+    predecessors dirty.  Two states share a round-r block exactly when
+    their pair survives r synchronous rounds of the fixpoint."""
 
     def run(self, initial: Pair) -> int:
         start = self._start(initial)
@@ -430,7 +313,7 @@ class _Blocks(_Refinement):
     def _related_at(self, c1: int, c2: int, rnd: int) -> bool:
         return self._at(c1, rnd) == self._at(self.n1 + c2, rnd)
 
-    def witness(self) -> frozenset[Pair]:
+    def _all_related(self) -> frozenset[Pair]:
         """The union of the block products (B ∩ W1) × (B ∩ W2)."""
         (t1, t2), block, n1 = self.tables, self.block, self.n1
         lefts: dict[int, list[Config]] = {}
@@ -445,21 +328,22 @@ def _bits(m: int) -> list[int]:
 
 
 class _Rows(_Refinement):
-    """Row refinement for directed conditions that move no memory: the
-    greatest simulation as one bit row per right state (Henzinger, Henzinger
-    & Kopke, FOCS 1995).  Bit c1 of ``rows[c2]`` is set while pair (c1, c2)
-    is alive.  Round 0 sets the left states whose signature has no
-    ``disagreement`` with c2's.  Round r recomputes only the rows of the
-    right states whose closure image or step successor changed row in round
-    r - 1, each against the round r - 1 rows, so every pair dies in its
-    synchronous round.  Over c2's images t under one operator, back and the
-    closures keep the left states with an image in ``rows[t]`` (a preimage
-    kept per row until the row changes); forth keeps the left states whose
-    successors all lie in the union of those rows.  Left preimages are
-    memoized by mask.  A row's history holds its value after each change.
-    The rows belong to right states because a right state's row often
-    loses its bits in one round: along two chains each row changes once,
-    where a left state's row would change in every round."""
+    """Row refinement for directed conditions: the greatest simulation as
+    one bit row per right state (Henzinger, Henzinger & Kopke, FOCS 1995).
+    Bit c1 of ``rows[c2]`` is set while pair (c1, c2) is alive.  Round 0
+    sets the left states whose signature has no ``disagreement`` with c2's.
+    Round r recomputes only the rows of the right states whose closure image
+    or step successor changed row in round r - 1, each against the round
+    r - 1 rows, so every pair dies in its synchronous round.  Over c2's
+    images t under one operator, the closures and a step with a back-type
+    clause keep the left states with an image in ``rows[t]`` (a preimage
+    kept per row until the row changes); a step with a forth-type clause
+    keeps the left states whose successors all lie in the union of those
+    rows.  Left preimages are memoized by mask.  A row's history holds its
+    value after each change.  The rows belong to right states because a
+    right state's row often loses its bits in one round: along two chains
+    each row changes once, where a left state's row would change in every
+    round."""
 
     def run(self, initial: Pair) -> int:
         start = self._start(initial)
@@ -474,7 +358,7 @@ class _Rows(_Refinement):
                 by_sig[sig] = sum(m for s, m in groups.items() if not disagreement(s, sig))
         rows = [by_sig[sig] for sig in t2.sig]
         self.first = rows[:]
-        sides = {side for _, side, _ in self.clauses}  # which side picks first
+        sides = {(side, traced) for _, side, traced in self.clauses}  # who picks first, per step
         # per op: c2's images, the two clause shapes, the kept preimages of
         # the rows, the left inverse (bit c1 of inverse[d]: op moves c1 to d)
         # and the preimage memo
@@ -490,7 +374,8 @@ class _Rows(_Refinement):
                 for d in t1.targets(op, c1):
                     inverse[d] |= 1 << c1
             close = op[0] == "close"
-            exists, forall = close or "right" in sides, not close and "left" in sides
+            exists = close or ("right", op[2]) in sides
+            forall = not close and ("left", op[2]) in sides
             terms.append((succ, exists, forall, [None] * n2, inverse, {}))
 
         def pre(inverse: list[int], memo: dict[int, int], m: int) -> int:
@@ -538,7 +423,7 @@ class _Rows(_Refinement):
     def _related_at(self, c1: int, c2: int, rnd: int) -> bool:
         return self._at(c2, rnd) >> c1 & 1
 
-    def witness(self) -> frozenset[Pair]:
+    def _all_related(self) -> frozenset[Pair]:
         """The set bits of the rows."""
         t1, t2 = self.tables
         configs1 = t1.configs
@@ -549,7 +434,7 @@ class _Rows(_Refinement):
 # Distinguisher extraction by refinement tracing (non-memory dialects)
 
 
-def _distinguisher(spec: LogicSpec, engine: _Engine | _Refinement, start: int) -> Formula:
+def _distinguisher(spec: LogicSpec, engine: _Refinement, start: int) -> Formula:
     """Rebuild a distinguishing formula of a deleted pair id (true on the
     left, false on the right) from the fixpoint's deletion reasons.  Each
     pair's ``build`` yields the pair ids whose formulas it needs, each built
@@ -588,10 +473,8 @@ def _distinguisher(spec: LogicSpec, engine: _Engine | _Refinement, start: int) -
 
 
 def _engine(conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
-    """The pair fixpoint when memory moves; else block refinement for
-    symmetric conditions and row refinement for directed ones."""
-    if conds.memory_active:
-        return _Engine(conds, left, right, max_pairs)
+    """Block refinement for symmetric conditions, row refinement for
+    directed ones."""
     symmetric = not conds.atomic_one_directional and conds.forth == conds.back
     return (_Blocks if symmetric else _Rows)(conds, left, right, max_pairs)
 
@@ -657,6 +540,8 @@ def bisimilar(
 
     For dialects with negation this is a bisimulation-style symmetric notion;
     for negation-free dialects the canonical notion is already directed.
+    ``max_pairs`` bounds the witness's pairs and, for memory dialects, each
+    side's reachable configurations (see the module docstring).
     ``distinguisher_depth`` caps the bounded search used to synthesize a
     separating formula for memory dialects; pass 0 to skip that search.
     """

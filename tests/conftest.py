@@ -23,6 +23,7 @@ from modalkit.configs import Config, Pair, PairSpace, close, step_memory
 from modalkit.equivalence import SimConditions
 from modalkit.errors import (
     OperatorNotInDialectError,
+    StateSpaceExceededError,
     UnassignedNominalError,
     UnknownNameError,
     UnknownSymbolError,
@@ -708,6 +709,170 @@ class RefSpace(PairSpace):
                     if not any(join(t, u) in related for u in replies):
                         return (name, rel, t)
         return None
+
+
+# ---------------------------------------------------------------------------
+# Reference pair engine
+
+# The greatest fixpoint on configuration pair ids that decided memory
+# dialects before block and row refinement took over every condition set:
+# kept verbatim as the reference for their verdicts, death rounds, reasons,
+# witnesses and distinguishers.
+
+
+def _inverse(moves: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
+    """d -> the ids whose entry in one op's ``moves`` contains d."""
+    pre: dict[int, list[int]] = {}
+    for c, targets in moves.items():
+        for d in targets:
+            pre.setdefault(d, []).append(c)
+    return pre
+
+
+class _Engine(PairSpace):
+    """The fixpoint on pair ids p = c1 * K + c2 over the two models'
+    ``ConfigTable``s; ``alive`` and ``dead`` (p -> (round, reason)) are keyed
+    by pair id; a pair that fails the static conditions has reason None,
+    and ``static_reason`` names its failure from the two signatures."""
+
+    def __init__(
+        self,
+        conds: SimConditions,
+        left: KripkeModel,
+        right: KripkeModel,
+        max_pairs: int,
+    ):
+        super().__init__(conds, left, right)
+        self.max_pairs = max_pairs
+        self.tables = self.config_tables()
+        # K bounds the right model's configuration count: |W| without
+        # memory moves, |W| * 2^|W| with them.
+        n = len(right.worlds)
+        self.K = n << n if conds.memory_active else n
+        self.dead: dict[int, tuple[int, tuple | None]] = {}
+        self.alive: set[int] = set()
+
+    # -- materialization -----------------------------------------------------
+
+    def materialize(self, initial: Pair) -> list[int]:
+        """The pair ids of the space, with every move of their configurations
+        cached in the tables."""
+        t1, t2 = self.tables
+        K = self.K
+        if not self.conds.memory_active:
+            if len(self.left.worlds) * len(self.right.worlds) > self.max_pairs:
+                raise StateSpaceExceededError(self.max_pairs)
+            ids1 = [t1.intern(initial[0].mem, a) for a in self.left.worlds]
+            ids2 = [t2.intern(initial[1].mem, b) for b in self.right.worlds]
+            for op in self.ops:
+                for c in ids1:
+                    t1.targets(op, c)
+                for c in ids2:
+                    t2.targets(op, c)
+            return [a * K + b for a in ids1 for b in ids2]
+        c1, c2 = initial
+        order = [t1.intern(c1.mem, c1.world) * K + t2.intern(c2.mem, c2.world)]
+        seen = set(order)
+        # each op's recorded moves, read directly; targets only on a miss
+        rows = [(op, t1.moves.setdefault(op, {}), t2.moves.setdefault(op, {})) for op in self.ops]
+        for p in order:  # grows while walked: breadth-first
+            c1, c2 = divmod(p, K)
+            for op, row1, row2 in rows:
+                replies = row2.get(c2)
+                if replies is None:
+                    replies = t2.targets(op, c2)
+                moves = row1.get(c1)
+                if moves is None:
+                    moves = t1.targets(op, c1)
+                for a in moves:
+                    base = a * K
+                    for b in replies:
+                        q = base + b
+                        if q not in seen:
+                            if len(seen) >= self.max_pairs:
+                                raise StateSpaceExceededError(self.max_pairs)
+                            seen.add(q)
+                            order.append(q)
+        return order
+
+    # -- the fixpoint --------------------------------------------------------
+
+    def run(self, initial: Pair) -> int:
+        """Round 1 checks every statically live pair; round r + 1 checks only
+        the live predecessors of the pairs round r deleted, the only ones
+        whose check can have changed.  Each round's checks all read
+        ``alive`` as the round found it.  Returns the initial pair's id."""
+        pairs = self.materialize(initial)
+        (t1, t2), K = self.tables, self.K
+        sig1, sig2, disagreement = t1.sig, t2.sig, self.disagreement
+        alive, dead = self.alive, self.dead
+        for p in pairs:
+            if disagreement(sig1[p // K], sig2[p % K]):
+                dead[p] = (0, None)
+            else:
+                alive.add(p)
+        self._closure_rows = [
+            (kind, nom, t1.moves[("close", kind, nom)], t2.moves[("close", kind, nom)])
+            for kind, nom in self.closures
+        ]
+        self._clause_rows = [
+            (name, rel, side == "left", t1.moves[("step", rel, traced)], t2.moves[("step", rel, traced)])
+            for rel in self.rels
+            for name, side, traced in self.clauses
+        ]
+        pre_rows = [(_inverse(t1.moves[op]), _inverse(t2.moves[op])) for op in self.ops]
+        rnd = 0
+        frontier = set(alive)
+        while frontier:
+            rnd += 1
+            doomed = [(p, reason) for p in frontier if (reason := self.violation(p)) is not None]
+            for p, reason in doomed:
+                alive.discard(p)
+                dead[p] = (rnd, reason)
+            deleted: dict[int, list[int]] = {}
+            for q, _ in doomed:
+                d1, d2 = divmod(q, K)
+                deleted.setdefault(d1, []).append(d2)
+            frontier = set()
+            for pre1, pre2 in pre_rows:
+                for d1, d2s in deleted.items():
+                    sources = pre1.get(d1)
+                    if sources:
+                        replies = set().union(*[pre2.get(d2, ()) for d2 in d2s])
+                        for a in sources:
+                            frontier.update(map((a * K).__add__, replies))
+            frontier &= alive
+        c1, c2 = initial
+        return t1.intern(c1.mem, c1.world) * K + t2.intern(c2.mem, c2.world)
+
+    def violation(self, p: int) -> tuple | None:
+        """The first failed condition of pair p against ``alive``: a closure
+        update with its image's pair id, or a modal clause with the target's
+        configuration id."""
+        K, alive = self.K, self.alive
+        c1, c2 = divmod(p, K)
+        for kind, nom, row1, row2 in self._closure_rows:
+            (a,), (b,) = row1[c1], row2[c2]
+            if a * K + b not in alive:
+                return (kind, nom, a * K + b)
+        for name, rel, left_first, row1, row2 in self._clause_rows:
+            succ1, succ2 = row1[c1], row2[c2]
+            if left_first:
+                for t in succ1:
+                    if alive.isdisjoint(map((t * K).__add__, succ2)):
+                        return (name, rel, t)
+            elif succ2:
+                bases = [u * K for u in succ1]
+                for t in succ2:
+                    if alive.isdisjoint(map(t.__add__, bases)):
+                        return (name, rel, t)
+        return None
+
+    # -- the edges -----------------------------------------------------------
+
+    def witness(self) -> frozenset[Pair]:
+        (t1, t2), K = self.tables, self.K
+        return frozenset((t1.configs[p // K], t2.configs[p % K]) for p in self.alive)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The fixpoint (bi)simulation engine, the block refinement that decides
-symmetric dialects without memory and the row refinement that decides
-directed ones: condition derivation, witnesses, distinguishers, the direct
-relation verifier, and partition refinement.
+"""The (bi)simulation engines, block refinement for symmetric conditions
+and row refinement for directed ones, checked against the synchronous
+rounds and the pair fixpoint kept in conftest as the oracle: condition
+derivation, witnesses, distinguishers, the direct relation verifier, and
+partition refinement.
 
 conditions_for is pinned as a table because everything downstream hangs off
 it; the fixture models carry hand-checked expected relations and separating
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import (
     SIG,
     RefSpace,
+    _Engine,
     chain_model,
     fixture_model,
     models,
@@ -33,7 +35,6 @@ from modalkit.equivalence import (
     _Blocks,
     _distinguisher,
     _engine,
-    _Engine,
     _Rows,
     bisimilar,
     bml_partition_refinement,
@@ -48,9 +49,9 @@ from modalkit.errors import (
     StateSpaceExceededError,
     UnknownWorldError,
 )
-from modalkit.kripke import KripkeModel
+from modalkit.kripke import GenParams, KripkeModel, random_model
 from modalkit.semantics import check
-from modalkit.syntax import DIALECTS, OPERATORS, LogicSpec, modal_depth, print_formula
+from modalkit.syntax import DIALECTS, OPERATORS, LogicSpec, Signature, modal_depth, print_formula
 
 BML = DIALECTS["bml"]
 BML_MINUS = DIALECTS["bml-minus"]
@@ -285,8 +286,14 @@ def test_pair_space_caps():
         bisimilar(BML, big, w, small, v, max_pairs=7)  # 4 x 2 = 8 pairs
     refl, a = fixture_model("reflexive.km")
     cyc, b = fixture_model("two_cycle.km")
-    with pytest.raises(StateSpaceExceededError, match="^configuration pair space exceeds the limit of 2$"):
+    # memory dialects cap each side's configurations, walked before any
+    # pair is built; here the right side reaches more than two
+    with pytest.raises(StateSpaceExceededError, match="^configuration space exceeds the limit of 2$"):
         bisimilar(ML, refl, a, cyc, b, max_pairs=2, distinguisher_depth=0)
+    # and a related pair caps the witness walk over the pairs: each side
+    # reaches 24 configurations, the start pair 56 pairs
+    with pytest.raises(StateSpaceExceededError, match="^configuration pair space exceeds the limit of 24$"):
+        bisimilar(ML, big, "w", big, "b", max_pairs=24)
     # the directed conditions take the row refinement, with the same cap
     with pytest.raises(StateSpaceExceededError, match="^configuration pair space exceeds the limit of 7$"):
         simulated_by(BML, big, w, small, v, max_pairs=7)
@@ -301,6 +308,16 @@ def test_pair_space_caps():
         with pytest.raises(StateSpaceExceededError):
             solve(BML, chain, worlds[0], chain, worlds[0])
         assert time.perf_counter() - start < 1.0
+
+
+def test_memory_pair_that_is_not_related_builds_no_pairs():
+    """On 10 worlds the pair space exceeds the default cap, but each side
+    reaches fewer than 10 · 2^10 configurations, and a pair that is not
+    related is decided on those alone."""
+    sig = Signature(props=("p", "q"), rels=("r",))
+    model = random_model(GenParams(10, 0.2, 0.5, 7, sig))
+    assert not bisimilar(ML, model, "w01", model, "w02", distinguisher_depth=0).related
+    assert not simulated_by(ML, model, "w01", model, "w02", distinguisher_depth=0).related
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +568,8 @@ SYMMETRIC_PLAIN = sorted(
     for name, spec in DIALECTS.items()
     if not (conds := conditions_for(spec)).memory_active and not conds.atomic_one_directional
 )
+MEMORY = sorted(name for name in DIALECTS if conditions_for(DIALECTS[name]).memory_active)
+SYMMETRIC = SYMMETRIC_PLAIN + MEMORY
 
 
 def test_symmetric_plain_dialects_take_block_refinement():
@@ -566,42 +585,51 @@ def _draw_pointed_pair(spec, data):
     return left, w, right, v
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SYMMETRIC_PLAIN), st.data())
-def test_block_refinement_matches_synchronous_rounds(name, data):
-    """For every grid pair, the same verdict and (round, reason) as the
-    synchronous rounds; the witness is their live set."""
-    spec = DIALECTS[name]
-    left, w, right, v = _draw_pointed_pair(spec, data)
-    conds = conditions_for(spec)
-    initial = initial_pair(left, w, right, v)
-    engine = _Blocks(conds, left, right, 2**20)
+def _assert_matches_synchronous_rounds(engine, conds, left, right, initial):
+    """For every pair the synchronous rounds materialize, the same verdict
+    and (round, reason); the witness is their live set."""
     engine.run(initial)
     alive, dead = _synchronous_rounds(conds, left, right, initial)
-    assert engine.witness() == frozenset(alive)
-    for p in range(len(left.worlds) * engine.K):
-        pair = _config_pair(engine, p)
+    t1, t2 = engine.tables
+    for pair in alive | dead.keys():
+        c1, c2 = pair
+        p = t1.ids[c1.mem, c1.world] * engine.K + t2.ids[c2.mem, c2.world]
         assert (p not in engine.dead) == (pair in alive)
         if pair in dead:
             assert _death(engine, p) == dead[pair]
+    assert engine.witness() == frozenset(alive)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SYMMETRIC_PLAIN), st.data())
-def test_bisimilar_agrees_with_the_pair_engine(name, data):
-    """``bisimilar`` answers as the pair fixpoint would: the same verdict,
-    witness and printed distinguisher."""
+@given(st.sampled_from(SYMMETRIC), st.data())
+def test_block_refinement_matches_synchronous_rounds(name, data):
     spec = DIALECTS[name]
     left, w, right, v = _draw_pointed_pair(spec, data)
-    outcome = bisimilar(spec, left, w, right, v)
-    engine = _Engine(conditions_for(spec), left, right, 2**20)
+    conds = conditions_for(spec)
+    engine = _Blocks(conds, left, right, 2**20)
+    _assert_matches_synchronous_rounds(engine, conds, left, right, initial_pair(left, w, right, v))
+
+
+def _assert_agrees_with_the_pair_engine(spec, solve, conds, data):
+    """``solve`` answers as the pair fixpoint would: the same verdict and
+    witness, and without memory the same printed distinguisher."""
+    left, w, right, v = _draw_pointed_pair(spec, data)
+    outcome = solve(spec, left, w, right, v, distinguisher_depth=0)
+    engine = _Engine(conds, left, right, 2**20)
     start = engine.run(initial_pair(left, w, right, v))
     assert outcome.related == (start in engine.alive)
     if outcome.related:
         assert outcome.witness == engine.witness()
-    else:
+    elif not conds.memory_active:
         expected = _distinguisher(spec, engine, start)
         assert print_formula(outcome.distinguisher) == print_formula(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SYMMETRIC), st.data())
+def test_bisimilar_agrees_with_the_pair_engine(name, data):
+    spec = DIALECTS[name]
+    _assert_agrees_with_the_pair_engine(spec, bisimilar, conditions_for(spec), data)
 
 
 @pytest.mark.parametrize("n", [10, 30])
@@ -620,26 +648,35 @@ def test_block_refinement_keys_each_state_a_bounded_number_of_times(n):
 # Row refinement against the synchronous rounds and the pair engine
 
 # a negation-free dialect whose box makes the back clause run under
-# one-directional atomic agreement, with and without nominals and @
+# one-directional atomic agreement, with and without nominals and @, and
+# two negation-free memory dialects whose forth and back clauses take
+# different steps
 BOX_MINUS = LogicSpec("box-minus", frozenset({"diamond", "box"}), has_negation=False)
 HYBRID_BOX_MINUS = LogicSpec(
     "hybrid-box-minus", frozenset({"diamond", "box", "nominal", "at"}), has_negation=False
 )
+DIAMOND_DBOX_MINUS = LogicSpec(
+    "diamond-dbox-minus", frozenset({"remember", "known", "diamond", "dbox"}), has_negation=False
+)
+DDIAMOND_BOX_MINUS = LogicSpec(
+    "ddiamond-box-minus", frozenset({"remember", "known", "ddiamond", "box"}), has_negation=False
+)
 PLAIN = ("bml", "bml-minus", "hl", "hl-at")
-DIRECTED_PLAIN = [
-    *((DIALECTS[name], True) for name in PLAIN),
+DIRECTED = [
+    *((DIALECTS[name], True) for name in (*PLAIN, *MEMORY)),
     (BML_MINUS, False),
     (BOX_MINUS, False),
     (HYBRID_BOX_MINUS, False),
+    (DIAMOND_DBOX_MINUS, False),
+    (DDIAMOND_BOX_MINUS, False),
 ]
 
 
-# (dialect, directed) -> engine: memory moves take the pair fixpoint,
-# symmetric conditions without them block refinement, directed ones rows
+# (dialect, directed) -> engine: symmetric conditions take block
+# refinement, directed ones rows
 ENGINES = {
-    **{(name, directed): _Engine for name in DIALECTS if name.startswith("ml-") for directed in (False, True)},
-    **{(name, False): _Blocks for name in ("bml", "hl", "hl-at")},
-    **{(name, True): _Rows for name in PLAIN},
+    **{(name, False): _Blocks for name in SYMMETRIC},
+    **{(name, True): _Rows for name in DIALECTS},
     ("bml-minus", False): _Rows,
 }
 
@@ -656,43 +693,41 @@ def test_each_condition_set_takes_its_engine(name, directed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(range(len(DIRECTED_PLAIN))), st.data())
+@given(st.sampled_from(range(len(DIRECTED))), st.data())
 def test_row_refinement_matches_synchronous_rounds(index, data):
-    """For every grid pair, the same verdict and (round, reason) as the
-    synchronous rounds; the witness is their live set."""
-    spec, directed = DIRECTED_PLAIN[index]
+    spec, directed = DIRECTED[index]
     left, w, right, v = _draw_pointed_pair(spec, data)
     conds = conditions_for(spec)
     if directed:
         conds = directed_conditions(conds)
-    initial = initial_pair(left, w, right, v)
     engine = _Rows(conds, left, right, 2**20)
-    engine.run(initial)
-    alive, dead = _synchronous_rounds(conds, left, right, initial)
-    assert engine.witness() == frozenset(alive)
-    for p in range(len(left.worlds) * engine.K):
-        pair = _config_pair(engine, p)
-        assert (p not in engine.dead) == (pair in alive)
-        if pair in dead:
-            assert _death(engine, p) == dead[pair]
+    _assert_matches_synchronous_rounds(engine, conds, left, right, initial_pair(left, w, right, v))
+
+
+@pytest.mark.parametrize(
+    ("spec", "left"),
+    [
+        (DIAMOND_DBOX_MINUS, KripkeModel(("w0", "w1"), {"r": frozenset({("w0", "w1"), ("w1", "w0")})})),
+        (DDIAMOND_BOX_MINUS, KripkeModel(("w0",), {"r": frozenset({("w0", "w0")})})),
+    ],
+    ids=["diamond-dbox", "ddiamond-box"],
+)
+def test_row_refinement_keeps_each_clause_on_its_step(spec, left):
+    """Forth and back on different steps each shape only their own step's
+    term.  The draws above seldom reach a pair where this shows, so one is
+    fixed here for each of the two specs."""
+    complete = KripkeModel(("w0", "w1"), {"r": frozenset((a, b) for a in ("w0", "w1") for b in ("w0", "w1"))})
+    conds = conditions_for(spec)
+    engine = _Rows(conds, left, complete, 2**20)
+    _assert_matches_synchronous_rounds(engine, conds, left, complete, initial_pair(left, "w0", complete, "w0"))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(PLAIN), st.data())
+@given(st.sampled_from((*PLAIN, *MEMORY)), st.data())
 def test_simulated_by_agrees_with_the_pair_engine(name, data):
-    """``simulated_by`` answers as the pair fixpoint would: the same
-    verdict, witness and printed distinguisher."""
     spec = DIALECTS[name]
-    left, w, right, v = _draw_pointed_pair(spec, data)
-    outcome = simulated_by(spec, left, w, right, v)
-    engine = _Engine(directed_conditions(conditions_for(spec)), left, right, 2**20)
-    start = engine.run(initial_pair(left, w, right, v))
-    assert outcome.related == (start in engine.alive)
-    if outcome.related:
-        assert outcome.witness == engine.witness()
-    else:
-        expected = _distinguisher(spec, engine, start)
-        assert print_formula(outcome.distinguisher) == print_formula(expected)
+    conds = directed_conditions(conditions_for(spec))
+    _assert_agrees_with_the_pair_engine(spec, simulated_by, conds, data)
 
 
 @pytest.mark.parametrize("n", [10, 30])
@@ -721,12 +756,15 @@ def test_row_refinement_recomputes_each_row_a_bounded_number_of_times(n, longer)
 
 
 def test_bisimilar_is_freed_without_the_cycle_collector():
-    """Related and unrelated answers through block and row refinement leave
-    no object that only the cycle collector could free."""
+    """Related and unrelated answers through block and row refinement, with
+    and without memory, leave no object that only the cycle collector could
+    free."""
     two, w0 = fixture_model("fork_two.km")
     three, v0 = fixture_model("fork_three.km")
     big, w = fixture_model("four_world.km")
     small, v = fixture_model("two_world_loop.km")
+    refl, a = fixture_model("reflexive.km")
+    cyc, _ = fixture_model("two_cycle.km")
     named = KripkeModel(("a", "b"), {"r": frozenset({("a", "b")})}, {"p": frozenset({"b"})}, noms={"i": "b"})
     other = KripkeModel(("a", "b"), {"r": frozenset({("a", "a")})}, {"p": frozenset({"b"})}, noms={"i": "b"})
     gc.collect()
@@ -744,6 +782,13 @@ def test_bisimilar_is_freed_without_the_cycle_collector():
             assert not simulated_by(spec, named, "a", other, "a").related
         assert not bisimilar(BML_MINUS, three, v0, two, w0).related
         assert bisimilar(BML_MINUS, two, w0, three, v0).related
+        for name in ("ml-diamond", "ml-full"):
+            spec = DIALECTS[name]
+            assert bisimilar(spec, cyc, "b", cyc, "c").related
+            assert not bisimilar(spec, refl, a, cyc, "b").related
+            assert not bisimilar(spec, three, v0, two, w0, distinguisher_depth=0).related
+            assert simulated_by(spec, two, w0, three, v0).related
+            assert not simulated_by(spec, three, v0, two, w0).related
         assert gc.collect() == 0
     finally:
         gc.enable()
