@@ -21,7 +21,8 @@ place that says how a configuration changes:
 ``vocabulary`` names what a space over some models compares.  A
 ``ConfigTable`` interns one model's configurations as ints, keeps each one's
 signature int (bit k: it satisfies the k-th *signature atom*, a ``Prop``,
-``Known`` or ``Nom``), and caches each move on first use.
+``Known`` or ``Nom``), records its moves and gives their predecessors;
+``preimage`` is the one reader of a union of predecessor masks.
 ``PairSpace`` holds what two tables share under one condition set (see
 ``equivalence.SimConditions``): the vocabulary, the ``atoms`` its static
 conditions compare, the active closures and clauses, the operators ``ops``
@@ -34,9 +35,10 @@ game and ``EvalContext`` all read them from here and run on table ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, StateSpaceExceededError
 from .kripke import KripkeModel
 from .syntax import At, Erase, Forget, Formula, Known, Nom, Prop, Remember, _values
 
@@ -162,9 +164,9 @@ class ConfigTable:
     signature (bit k set when it satisfies ``atoms[k]``); ``moves[op][c]``
     is the tuple of ids one application of op leads to from c (one id for a
     closure update, the successors for a step), filled by ``targets``,
-    entry by entry, on first use; ``move`` computes an entry without
-    recording it.  A nominal the model does not assign sets no signature
-    bit.
+    entry by entry, on first use, or by ``walk`` for every configuration
+    the interned ones reach; ``move`` computes an entry without recording
+    it.  A nominal the model does not assign sets no signature bit.
     """
 
     def __init__(self, model: KripkeModel, atoms: tuple[Formula, ...]):
@@ -216,6 +218,55 @@ class ConfigTable:
         if out is None:
             out = row[c] = self.move(op, c)
         return out
+
+    def walk(self, ops: list[Op], cap: int) -> None:
+        """Records every op's move from all the interned ones reach, up to cap."""
+        rows = [(op, self.moves.setdefault(op, {})) for op in ops]
+        for c, _ in enumerate(self.configs):  # grows while walked
+            for op, row in rows:
+                row[c] = self.move(op, c)
+            if len(self.configs) > cap:
+                raise StateSpaceExceededError(cap, "configuration space")
+
+    def pre_masks(self, op: Op) -> list[int]:
+        """Entry d: the ids op moves to d as a mask, from ``moves`` or by ``move`` unrecorded."""
+        recorded = self.moves.get(op, {})
+        masks = [0] * len(self.configs)
+        for c in range(len(masks)):
+            for d in recorded[c] if c in recorded else self.move(op, c):
+                masks[d] |= 1 << c
+        return masks
+
+    def predecessors(self, ops: list[Op]) -> list[list[int]]:
+        """Entry d: the ids some walked op moves to d, once per such move."""
+        pre: list[list[int]] = [[] for _ in self.configs]
+        for op in ops:
+            for c, targets in self.moves[op].items():
+                for d in targets:
+                    pre[d].append(c)
+        return pre
+
+
+def preimage(rows: list[int]) -> Callable[[int], int]:
+    """The reader m -> the union of ``rows[t]`` over m's set bits t (each
+    below ``len(rows)``): each four rows folded into a table of the unions
+    at its index's bits (the Method of Four Russians, Arlazarov et al.,
+    1970), two lookups per nonzero byte of m."""
+    nibs = []
+    for j in range(0, len(rows) + 7 & -8, 4):
+        nib = [0]
+        for row in rows[j : j + 4]:
+            nib += [x | row for x in nib]
+        nibs.append(nib)
+    return partial(_read_nibbles, nibs[::2], nibs[1::2])
+
+
+def _read_nibbles(lows: list[list[int]], highs: list[list[int]], m: int) -> int:
+    out = 0
+    for b, low, high in zip(m.to_bytes((m.bit_length() + 7) >> 3, "little"), lows, highs):
+        if b:
+            out |= low[b & 15] | high[b >> 4]
+    return out
 
 
 class PairSpace:

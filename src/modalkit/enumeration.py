@@ -20,13 +20,11 @@ step ORs, for each world-index offset of its edges, the argument shifted
 by that offset and masked to the edges' sources in every block; erase
 spreads each model's block 0 over all its blocks, and ``@i`` each block's
 bit of world i over that block, one multiplication per model.  Remember,
-forget and the traced steps move between blocks by world; on first use
-their predecessor rows (row t: the configurations one application moves to
-t) are read from the tables' moves and folded into a 16-entry table per
-four rows, as in the Method of Four Russians (Arlazarov et al., 1970), so
-a preimage costs two lookups per nonzero byte of its argument.  The context
-lists its atoms and its depth-0 updates (negation, then the closures) once,
-with, per outer operator of a formula, the updates that operator absorbs
+forget and the traced steps move between blocks by world: ``configs.preimage``
+reads the tables' ``pre_masks`` (row t: the configurations one application
+moves to t), each at its model's offset.  The context lists its atoms and
+its depth-0 updates (negation, then the closures) once, with, per outer
+operator of a formula, the updates that operator absorbs
 (``configs.ABSORBED``) left out: both engines read them, and neither
 computes a mask it knows to be the formula's own.
 
@@ -71,7 +69,7 @@ from functools import partial
 from itertools import accumulate, combinations
 from typing import Callable
 
-from .configs import ABSORBED, ConfigTable, Op, closure_formula, closures, vocabulary
+from .configs import ABSORBED, ConfigTable, Op, closure_formula, closures, preimage, vocabulary
 from .equivalence import DEFAULT_MAX_PAIRS, conditions_for, fixpoint_separator
 from .errors import (
     BudgetExceededError,
@@ -120,16 +118,6 @@ def _mem_subsets(worlds: tuple[str, ...]) -> list[frozenset[str]]:
     return [frozenset(c) for k in range(len(worlds) + 1) for c in combinations(worlds, k)]
 
 
-def _pre(plans: dict, tables: list[ConfigTable], offsets: list[int], op: Op, m: int) -> int:
-    """The configurations that op moves into m: the meaning of op's diamond
-    or closure operator applied to a formula meaning m, read by op's plan
-    (see ``_plan``), kept in plans."""
-    plan = plans.get(op)
-    if plan is None:
-        plan = plans[op] = _plan(tables, offsets, op)
-    return plan(m)
-
-
 def _rep(n: int, blocks: int) -> int:
     """Bit 0 of each of the blocks of n bits."""
     return ((1 << blocks * n) - 1) // ((1 << n) - 1)
@@ -145,7 +133,7 @@ def _plan(tables: list[ConfigTable], offsets: list[int], op: Op) -> Callable[[in
     nibble tables."""
     tag, a, b = op
     if b if tag == "step" else a in ("remember", "forget"):  # traced, remember, forget
-        return partial(_read_nibbles, *_nibble_tables(tables, offsets, op))
+        return _nibble_tables(tables, offsets, op)
     sources: dict[int, int] = {}  # a plain step's offset t - s -> the bits of sources s
     parts = []  # erase's and @i's (shift, pick, spread, offset) per model
     for table, off in zip(tables, offsets):
@@ -187,31 +175,9 @@ def _read_blocks(parts: list[tuple[int, int, int, int]], m: int) -> int:
     return out
 
 
-def _read_nibbles(lows: list[list[int]], highs: list[list[int]], m: int) -> int:
-    out = 0
-    for b, low, high in zip(m.to_bytes((m.bit_length() + 7) >> 3, "little"), lows, highs):
-        if b:
-            out |= low[b & 15] | high[b >> 4]
-    return out
-
-
-def _nibble_tables(tables: list[ConfigTable], offsets: list[int], op: Op):
-    """op's predecessor rows, padded to whole bytes and folded four at a
-    time into 16-entry tables (entry x: the union of the rows at x's bits);
-    the tables of each byte's low nibbles, then of its high."""
-    rows = [0] * (-(-offsets[-1] // 8) * 8)
-    for config_table, off in zip(tables, offsets):
-        for c in range(len(config_table.configs)):
-            for d in config_table.move(op, c):
-                rows[off + d] |= 1 << (off + c)
-    nibs = []
-    for j in range(0, len(rows), 4):
-        nib = [0] * 16
-        for x in range(1, 16):
-            low = x & -x
-            nib[x] = nib[x ^ low] | rows[j + low.bit_length() - 1]
-        nibs.append(nib)
-    return nibs[::2], nibs[1::2]
+def _nibble_tables(tables: list[ConfigTable], offsets: list[int], op: Op) -> Callable[[int], int]:
+    """op's ``configs.preimage`` over the tables' ``pre_masks``, each at its offset."""
+    return preimage([m << off for table, off in zip(tables, offsets) for m in table.pre_masks(op)])
 
 
 class EvalContext:
@@ -262,7 +228,9 @@ class EvalContext:
             (k, c.mem, c.world) for k, table in enumerate(self.tables) for c in table.configs
         ]
         self.full = (1 << len(self.configs)) - 1
-        self.pre = partial(_pre, {}, self.tables, self.offsets)
+        # op, m -> the configurations op moves into m, by op's plan (``_plan``)
+        plans, tables, offsets = {}, self.tables, self.offsets
+        self.pre = lambda op, m: (plans.get(op) or plans.setdefault(op, _plan(tables, offsets, op)))(m)
 
         # signature bit j -> the mask of the configurations that have it: a
         # world's atoms other than known hold at its bit of every block, and
@@ -302,11 +270,25 @@ class EvalContext:
         }
 
     def bit_of(self, model_index: int, mem: frozenset[str], world: str) -> int:
-        return self.offsets[model_index] + self.tables[model_index].ids[(frozenset(mem), world)]
+        """The bit of (mem, world) in model ``model_index``.  An unknown world,
+        current or remembered, raises ``UnknownWorldError``, any other miss
+        ``InvariantViolationError``."""
+        model = self._model(model_index)
+        for w in (world, *sorted(mem)):
+            model.require_world(w)
+        c = self.tables[model_index].ids.get((frozenset(mem), world))
+        if c is None:
+            raise InvariantViolationError(f"memory {sorted(mem)} is not in the context")
+        return self.offsets[model_index] + c
 
     def start_bit(self, model_index: int, world: str) -> int:
-        """The bit of (the model's own memory, world)."""
-        return self.bit_of(model_index, self.models[model_index].mem, world)
+        """The bit of (the model's own memory, world), checked as ``bit_of``."""
+        return self.bit_of(model_index, self._model(model_index).mem, world)
+
+    def _model(self, k: int) -> KripkeModel:
+        if not 0 <= k < len(self.models):
+            raise InvariantViolationError(f"model index {k} outside the context's {len(self.models)} models")
+        return self.models[k]
 
     # -- mask transforms ------------------------------------------------------
 
@@ -572,10 +554,10 @@ class JointPartition:
     # -- queries ---------------------------------------------------------------
 
     def cell_index_of(self, bit: int) -> int:
-        for idx, cell in enumerate(self.cells):
-            if (cell >> bit) & 1:
-                return idx
-        raise ValueError(f"bit {bit} outside the configuration space")
+        """The index of the bit's cell; ``InvariantViolationError`` outside."""
+        if not 0 <= bit < len(self.ctx.configs):
+            raise InvariantViolationError(f"bit {bit} outside the configuration space")
+        return next(idx for idx, cell in enumerate(self.cells) if cell >> bit & 1)
 
     def characteristic(self, bit: int) -> Formula:
         """A formula true exactly on the bit's meaning class: the conjunction

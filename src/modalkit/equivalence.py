@@ -23,13 +23,16 @@ configuration transition system: its states are each side's configurations,
 labelled by their signature ints, and its labels the closure updates and the
 plain and traced steps.  So the largest relation is found on the states of
 each side, never on pairs.  Each model's states are interned in a
-``configs.ConfigTable``: every world under the model's memory when no memory
-moves, else the configurations the point reaches, walked breadth-first with
-at most ``max_pairs`` per side.  Symmetric conditions refine the blocks of
-the two sides' disjoint union (Kanellakis & Smolka, Inf. & Comp. 86(1) 1990;
-Paige & Tarjan, SIAM J. Comput. 16(6) 1987); directed ones refine one bit
-row per right state, the left states it still relates to (Henzinger,
-Henzinger & Kopke, FOCS 1995).  Two states are related after r rounds of
+``configs.ConfigTable`` and walked there (``ConfigTable.walk``): every world
+under the model's memory when no memory moves, else the configurations the
+point reaches, at most ``max_pairs`` per side.  The engines index the moves
+the walk records, and read predecessors from the tables (``predecessors``,
+``pre_masks``) and left preimages through ``configs.preimage``.  Symmetric
+conditions refine the blocks of the two sides' disjoint union (Kanellakis &
+Smolka, Inf. & Comp. 86(1) 1990; Paige & Tarjan, SIAM J. Comput. 16(6)
+1987); directed ones refine one bit row per right state, the left states it
+still relates to (Henzinger, Henzinger & Kopke, FOCS 1995).  Two states are
+related after r rounds of
 either exactly when their pair survives r synchronous rounds of the pair
 fixpoint, which re-checks every live pair against the live set as the round
 found it.  A pair that dies has that round (the modal depth
@@ -47,7 +50,7 @@ reasons by pair id, or, for memory dialects, ``separating_formula``'s.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -60,6 +63,7 @@ from .configs import (
     closure_formula,
     initial_pair,
     pair_key,
+    preimage,
 )
 from .errors import InvariantViolationError, StateSpaceExceededError
 from .kripke import KripkeModel
@@ -132,16 +136,16 @@ def serialize_witness(witness: frozenset[Pair]) -> str:
 
 
 class _Refinement(PairSpace):
-    """What the two engines share.  A state is a configuration of its
-    side's table: every world under the side's fixed memory when no memory
-    moves, else every configuration the side's initial one reaches.  A
-    state's value (its block, or its row of related partners) is
-    ``first[s]`` at round 0 and the last ``history[s]`` entry (round, value)
-    at or before a later round.  The engine is its own ``dead`` mapping of
-    pair ids p = c1 * K + c2: a pair's death round is found by binary search
-    over the rounds and its reason is recomputed against the round before,
-    closures first and then each relation's clauses, for ``_distinguisher``
-    to read."""
+    """What the two engines share.  A state is a configuration of its side's
+    table: every world under the side's fixed memory when no memory moves,
+    else every configuration the side's initial one reaches.  A state's value
+    (its block, or its row of related partners) is ``first[s]`` at round 0
+    and the last ``history[s]`` entry (round, value) at or before a later
+    round; verdicts and the witness read the final value.  The engine is its
+    own ``dead`` mapping of pair ids p = c1 * K + c2: a pair's death round is
+    found by binary search over the rounds and its reason is recomputed
+    against the round before, closures first and then each relation's
+    clauses, for ``_distinguisher`` to read."""
 
     def __init__(self, conds: SimConditions, left: KripkeModel, right: KripkeModel, max_pairs: int):
         super().__init__(conds, left, right)
@@ -149,41 +153,28 @@ class _Refinement(PairSpace):
             raise StateSpaceExceededError(max_pairs)  # the witness can be that large
         self.max_pairs = max_pairs
         self.tables = self.config_tables()
-        self.n1, self.K = len(left.worlds), len(right.worlds)
         self.history: dict[int, list[tuple[int, int]]] = {}
 
     dead = property(lambda self: self)
 
     def _start(self, initial: Pair) -> int:
-        """Interns the states of both sides; the initial pair's id.  With
-        memory moves each side's initial configuration is id 0, and its
-        table is walked breadth-first under every op, at most ``max_pairs``
-        configurations per side."""
+        """Walks each side from its seeds (every world under the fixed memory,
+        or the initial configuration, id 0, if memory moves); the start pair's id."""
         (t1, t2), (c1, c2) = self.tables, initial
-        if self.conds.memory_active:
-            for table, c in zip(self.tables, initial):
-                table.intern(c.mem, c.world)
-                for s, _ in enumerate(table.configs):  # grows while walked
-                    for op in self.ops:
-                        table.targets(op, s)
-                    if len(table.configs) > self.max_pairs:
-                        raise StateSpaceExceededError(self.max_pairs, "configuration space")
-            self.n1, self.K = len(t1.configs), len(t2.configs)
-            return 0
-        for a in self.left.worlds:
-            t1.intern(c1.mem, a)
-        for b in self.right.worlds:
-            t2.intern(c2.mem, b)
+        for table, c in zip(self.tables, initial):
+            for w in (c.world,) if self.conds.memory_active else table.model.worlds:
+                table.intern(c.mem, w)
+            table.walk(self.ops, self.max_pairs)
+        self.n1, self.K = len(t1.configs), len(t2.configs)
         return t1.intern(c1.mem, c1.world) * self.K + t2.intern(c2.mem, c2.world)
 
     def witness(self) -> frozenset[Pair]:
-        """The related pairs.  Without memory moves, every related pair of
-        states.  With them, the related ones among the pairs the start pair
-        reaches under the ops, walked breadth-first through dead pairs too;
-        a walk past ``max_pairs`` pairs raises."""
+        """The related pairs: without memory moves, every related pair of
+        states; with them, the related ones among the pairs the start pair
+        reaches, walked breadth-first through dead pairs too, up to ``max_pairs``."""
         if not self.conds.memory_active:
             return self._all_related()
-        (t1, t2), K, rounds = self.tables, self.K, self.rounds
+        (t1, t2), K = self.tables, self.K
         rows = [(t1.moves[op], t2.moves[op]) for op in self.ops]
         order = [0]  # the start pair: each side's initial configuration is id 0
         seen = set(order)
@@ -201,7 +192,7 @@ class _Refinement(PairSpace):
                             seen.add(q)
                             order.append(q)
         pairs = (divmod(p, K) for p in order)
-        return frozenset((t1.configs[a], t2.configs[b]) for a, b in pairs if self._related_at(a, b, rounds))
+        return frozenset((t1.configs[a], t2.configs[b]) for a, b in pairs if self._related(a, b))
 
     def _at(self, s: int, rnd: int) -> int:
         history = self.history.get(s, ())
@@ -209,20 +200,14 @@ class _Refinement(PairSpace):
         return history[i - 1][1] if i else self.first[s]
 
     def __contains__(self, p: int) -> bool:
-        return not self._related_at(*divmod(p, self.K), self.rounds)
+        return not self._related(*divmod(p, self.K))
 
     def __getitem__(self, p: int) -> tuple[int, tuple | None]:
         """(death round, reason) of a pair id that is not related."""
         if p not in self:
             raise KeyError(p)
         c1, c2 = divmod(p, self.K)
-        lo, hi = 0, self.rounds
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._related_at(c1, c2, mid):
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(range(self.rounds), True, key=lambda rnd: not self._related_at(c1, c2, rnd))
         return (lo, self._reason(c1, c2, lo - 1) if lo else None)
 
     def _reason(self, c1: int, c2: int, rnd: int) -> tuple:
@@ -263,14 +248,10 @@ class _Blocks(_Refinement):
     def run(self, initial: Pair) -> int:
         start = self._start(initial)
         (t1, t2), n1, ops = self.tables, self.n1, self.ops
-        # per state, its targets under each op, right states offset by n1
-        succ = [[t1.targets(op, c) for op in ops] for c in range(n1)]
-        succ += [[[n1 + d for d in t2.targets(op, c)] for op in ops] for c in range(self.K)]
-        pre: list[list[int]] = [[] for _ in succ]
-        for s, row in enumerate(succ):
-            for targets in row:
-                for t in targets:
-                    pre[t].append(s)
+        # per state, its targets under each op and its predecessors (right states + n1)
+        succ = [[t1.moves[op][c] for op in ops] for c in range(n1)]
+        succ += [[[n1 + d for d in t2.moves[op][c]] for op in ops] for c in range(self.K)]
+        pre = t1.predecessors(ops) + [[n1 + c for c in cs] for cs in t2.predecessors(ops)]
         numbers: dict[int, int] = {}
         block = [numbers.setdefault(sig, len(numbers)) for sig in t1.sig + t2.sig]
         self.first = block[:]
@@ -313,6 +294,9 @@ class _Blocks(_Refinement):
     def _related_at(self, c1: int, c2: int, rnd: int) -> bool:
         return self._at(c1, rnd) == self._at(self.n1 + c2, rnd)
 
+    def _related(self, c1: int, c2: int) -> bool:
+        return self.block[c1] == self.block[self.n1 + c2]
+
     def _all_related(self) -> frozenset[Pair]:
         """The union of the block products (B ∩ W1) × (B ∩ W2)."""
         (t1, t2), block, n1 = self.tables, self.block, self.n1
@@ -322,9 +306,14 @@ class _Blocks(_Refinement):
         return frozenset((c1, c2) for c2, b in zip(t2.configs, block[n1:]) for c1 in lefts.get(b, ()))
 
 
-def _bits(m: int) -> list[int]:
-    """The set bits of m, lowest first."""
-    return [i for i, ch in enumerate(reversed(bin(m))) if ch == "1"]
+class _Memo(dict):
+    """m -> read(m), read on first use."""
+
+    def __init__(self, read):
+        self.read = read
+
+    def __missing__(self, m: int) -> int:
+        return self.setdefault(m, self.read(m))
 
 
 class _Rows(_Refinement):
@@ -336,14 +325,14 @@ class _Rows(_Refinement):
     or step successor changed row in round r - 1, each against the round
     r - 1 rows, so every pair dies in its synchronous round.  Over c2's
     images t under one operator, the closures and a step with a back-type
-    clause keep the left states with an image in ``rows[t]`` (a preimage
-    kept per row until the row changes); a step with a forth-type clause
-    keeps the left states whose successors all lie in the union of those
-    rows.  Left preimages are memoized by mask.  A row's history holds its
-    value after each change.  The rows belong to right states because a
-    right state's row often loses its bits in one round: along two chains
-    each row changes once, where a left state's row would change in every
-    round."""
+    clause keep the left states with an image in ``rows[t]``; a step with a
+    forth-type clause keeps the left states whose successors all lie in the
+    union of those rows.  Each op's left preimages are read by
+    ``configs.preimage`` over the left table's ``pre_masks``, memoized by
+    mask.  A row's history holds its value after each change.  The rows
+    belong to right states because a right state's row often loses its bits
+    in one round: along two chains each row changes once, where a left
+    state's row would change in every round."""
 
     def run(self, initial: Pair) -> int:
         start = self._start(initial)
@@ -352,57 +341,33 @@ class _Rows(_Refinement):
         groups: dict[int, int] = {}  # left signature -> its states
         for c1, sig in enumerate(t1.sig):
             groups[sig] = groups.get(sig, 0) | 1 << c1
-        by_sig: dict[int, int] = {}
-        for sig in t2.sig:
-            if sig not in by_sig:
-                by_sig[sig] = sum(m for s, m in groups.items() if not disagreement(s, sig))
+        by_sig = {sig: sum(m for s, m in groups.items() if not disagreement(s, sig)) for sig in set(t2.sig)}
         rows = [by_sig[sig] for sig in t2.sig]
         self.first = rows[:]
         sides = {(side, traced) for _, side, traced in self.clauses}  # who picks first, per step
-        # per op: c2's images, the two clause shapes, the kept preimages of
-        # the rows, the left inverse (bit c1 of inverse[d]: op moves c1 to d)
-        # and the preimage memo
+        # per op: c2's images, the two clause shapes and the memoized reader
+        # of left preimages
         terms = []
-        readers: list[list[int]] = [[] for _ in range(n2)]
         for op in self.ops:
-            succ = [t2.targets(op, c2) for c2 in range(n2)]
-            for c2, targets in enumerate(succ):
-                for t in targets:
-                    readers[t].append(c2)
-            inverse = [0] * n1
-            for c1 in range(n1):
-                for d in t1.targets(op, c1):
-                    inverse[d] |= 1 << c1
             close = op[0] == "close"
             exists = close or ("right", op[2]) in sides
             forall = not close and ("left", op[2]) in sides
-            terms.append((succ, exists, forall, [None] * n2, inverse, {}))
-
-        def pre(inverse: list[int], memo: dict[int, int], m: int) -> int:
-            out = memo.get(m)
-            if out is None:
-                out = 0
-                for c1 in _bits(m):
-                    out |= inverse[c1]
-                memo[m] = out
-            return out
+            terms.append((t2.moves[op], exists, forall, _Memo(preimage(t1.pre_masks(op)))))
+        readers = t2.predecessors(self.ops)
 
         def update(c2: int) -> int:
             row = rows[c2]
-            for succ, exists, forall, images, inverse, memo in terms:
+            for succ, exists, forall, pre in terms:
                 targets = succ[c2]
                 if exists:
                     for t in targets:
-                        m = images[t]
-                        if m is None:
-                            m = images[t] = pre(inverse, memo, rows[t])
-                        row &= m
+                        row &= pre[rows[t]]
                 if forall:
                     union = 0
                     for t in targets:
                         union |= rows[t]
                     if union != full:
-                        row &= ~pre(inverse, memo, full & ~union)
+                        row &= ~pre[full & ~union]
             return row
 
         history, dirty, rnd = self.history, range(n2), 0
@@ -414,8 +379,6 @@ class _Rows(_Refinement):
             for c2, row in changed:
                 rows[c2] = row
                 history.setdefault(c2, []).append((rnd, row))
-                for _, _, _, images, _, _ in terms:
-                    images[c2] = None
             dirty = {r for c2, _ in changed for r in readers[c2]}
         self.rows, self.rounds = rows, rnd
         return start
@@ -423,11 +386,14 @@ class _Rows(_Refinement):
     def _related_at(self, c1: int, c2: int, rnd: int) -> bool:
         return self._at(c2, rnd) >> c1 & 1
 
+    def _related(self, c1: int, c2: int) -> bool:
+        return self.rows[c2] >> c1 & 1
+
     def _all_related(self) -> frozenset[Pair]:
         """The set bits of the rows."""
         t1, t2 = self.tables
-        configs1 = t1.configs
-        return frozenset((configs1[c1], c2) for c2, row in zip(t2.configs, self.rows) for c1 in _bits(row))
+        bits = [[c1 for c1, ch in enumerate(bin(row)[:1:-1]) if ch == "1"] for row in self.rows]
+        return frozenset((t1.configs[c1], c2) for c2, ones in zip(t2.configs, bits) for c1 in ones)
 
 
 # ---------------------------------------------------------------------------

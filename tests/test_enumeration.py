@@ -33,7 +33,7 @@ from conftest import (
     sig_for,
 )
 from modalkit import enumeration
-from modalkit.configs import ABSORBED, MEMORY_UPDATES, close, closure_formula, closures, step_memory
+from modalkit.configs import ABSORBED, MEMORY_UPDATES, close, closure_formula, closures, preimage, step_memory
 from modalkit.enumeration import (
     EvalContext,
     JointPartition,
@@ -50,6 +50,7 @@ from modalkit.errors import (
     OperatorNotInDialectError,
     StateSpaceExceededError,
     UnassignedNominalError,
+    UnknownWorldError,
     UnsupportedFeaturesError,
 )
 from modalkit.kripke import KripkeModel, PointedModel
@@ -142,6 +143,43 @@ def test_meaning_rejects_unassigned_nominals(dialect):
         ctx.meaning(Nom("j"))
     with pytest.raises(UnassignedNominalError):
         ctx.meaning(At("j", Top()))
+
+
+@pytest.mark.parametrize(
+    ("args", "error"),
+    [
+        ((0, frozenset(), "zz"), UnknownWorldError),  # current world
+        ((0, frozenset({"zz"}), "u"), UnknownWorldError),  # remembered world
+        ((0, frozenset({"v"}), "u"), InvariantViolationError),  # a memory the context lacks
+        ((2, frozenset(), "u"), InvariantViolationError),
+        ((-1, frozenset(), "u"), InvariantViolationError),
+    ],
+)
+def test_bit_of_keeps_the_error_contract(args, error):
+    """A world, memory or model index outside the context is the context's
+    error, not a lookup failure; ``start_bit`` checks alike."""
+    ctx = EvalContext(BML, [M2, M2])
+    with pytest.raises(error):
+        ctx.bit_of(*args)
+    if not args[1]:
+        with pytest.raises(error):
+            ctx.start_bit(args[0], args[2])
+
+
+@pytest.mark.parametrize("bit", [-1, 2, 10**6])
+def test_partition_queries_keep_the_error_contract(bit):
+    """A bit outside the configuration space raises
+    ``InvariantViolationError`` from every query that looks up its cell."""
+    part = JointPartition(BML, [M2])
+    queries = [
+        part.cell_index_of,
+        part.characteristic,
+        lambda b: part.separator_between(b, 0),
+        lambda b: part.separator_between(0, b),
+    ]
+    for query in queries:
+        with pytest.raises(InvariantViolationError, match=f"^bit {bit} outside the configuration space$"):
+            query(bit)
 
 
 def test_context_capped(monkeypatch):
@@ -347,6 +385,22 @@ def test_nibble_pre_matches_per_bit_union(data):
             rows = table(op)
             for m in data.draw(st.lists(_masks(len(rows)), min_size=1, max_size=4)):
                 assert ctx.pre(op, m) == _pre_by_bits(rows, m), (name, op, m)
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.integers(0, 70), st.just(10_240)), st.data())
+def test_preimage_matches_per_bit_union(n, data):
+    """``configs.preimage`` reads the union of the rows at a mask's bits,
+    as the per-bit union does: rows of 0 to 70 entries (whole and partial
+    last bytes) and of 10 240, with empty, full, sparse, dense and random
+    masks."""
+    width = data.draw(st.sampled_from([1, 8, 70, 10_240]))
+    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n)) if n <= 70 else [
+        (c * 0x9E3779B97F4A7C15 >> 7) & ((1 << width) - 1) for c in range(n)
+    ]
+    read = preimage(rows)
+    for m in (data.draw(st.lists(_masks(n), max_size=4)) if n else []) + [0, (1 << n) - 1]:
+        assert read(m) == _pre_by_bits(rows, m), (n, m)
 
 
 def test_memory_keeping_operators_build_no_nibble_tables(monkeypatch):

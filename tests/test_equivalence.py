@@ -12,6 +12,7 @@ the fixpoint returns as a witness must pass the defining conditions verbatim.
 
 import gc
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from conftest import (
     reference_conditions_for,
     sig_for,
 )
-from modalkit.configs import CLAUSES, initial_pair
+from modalkit.configs import CLAUSES, ConfigTable, initial_pair
 from modalkit.equivalence import (
     Config,
     SimConditions,
@@ -318,6 +319,33 @@ def test_memory_pair_that_is_not_related_builds_no_pairs():
     model = random_model(GenParams(10, 0.2, 0.5, 7, sig))
     assert not bisimilar(ML, model, "w01", model, "w02", distinguisher_depth=0).related
     assert not simulated_by(ML, model, "w01", model, "w02", distinguisher_depth=0).related
+
+
+@pytest.mark.parametrize("solve", [bisimilar, simulated_by])
+@pytest.mark.parametrize(
+    ("spec", "left", "w", "right", "v"),
+    [
+        (ML, "four_world.km", "w", "four_world.km", "b"),  # related: the witness walk
+        (ML, "reflexive.km", None, "two_cycle.km", None),
+        (BML, "fork_two.km", None, "fork_three.km", None),  # the distinguisher
+        (BML, "four_world.km", None, "two_world_loop.km", None),
+    ],
+)
+def test_each_move_is_computed_once_per_side(solve, spec, left, w, right, v, monkeypatch):
+    """One call walks each side's table once: ``ConfigTable.move`` runs
+    once per (op, configuration) of the two walked tables, and the engine,
+    its witness and its distinguisher read the recorded moves after that."""
+    walked, calls = [], []
+    walk, move = ConfigTable.walk, ConfigTable.move
+    monkeypatch.setattr(ConfigTable, "walk", lambda self, ops, cap: walked.append((self, ops)) or walk(self, ops, cap))
+    monkeypatch.setattr(ConfigTable, "move", lambda self, op, c: calls.append((self, op, c)) or move(self, op, c))
+    (m1, p1), (m2, p2) = fixture_model(left), fixture_model(right)
+    solve(spec, m1, w or p1, m2, v or p2, distinguisher_depth=0)
+    assert len(walked) == 2
+    assert {id(table) for table, _, _ in calls} <= {id(table) for table, _ in walked}
+    for table, ops in walked:
+        counted = Counter((op, c) for t, op, c in calls if t is table)
+        assert counted == Counter((op, c) for op in ops for c in range(len(table.configs)))
 
 
 # ---------------------------------------------------------------------------
